@@ -221,7 +221,12 @@ def _cmd_forms(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     spec = _load_spec(args)
-    ns = [int(x) for x in args.n_list.split(",")]
+    try:
+        ns = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise SpecError(
+            f"cannot parse --n-list {args.n_list!r}; expected comma-separated integers"
+        ) from None
     if args.z == "all":
         zs = list(enumerate_center(spec))
     else:

@@ -10,7 +10,7 @@ the straightforward ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from typing import Sequence
 
 Vec = tuple
@@ -19,14 +19,6 @@ Mat = tuple
 
 def vec_add(u: Sequence, v: Sequence) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> Vec:
-    return tuple(c * a for a in u)
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
@@ -183,20 +175,10 @@ def reduce_mod_basis(v: Sequence, basis: Sequence[Sequence]) -> Vec:
         q = floor(x[i] / col[i])
         if q:
             for k in range(i, len(x)):
-                x[k] -= q * col[k]
+                if col[k]:
+                    x[k] -= q * col[k]
     return tuple(x)
 
 
 def lcm_denominators(values) -> int:
-    out = 1
-    for v in values:
-        d = Fraction(v).denominator
-        g = _gcd(out, d)
-        out = out // g * d
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return lcm(*(Fraction(v).denominator for v in values))

@@ -8,8 +8,9 @@ enumerates the n-th roots of a central element exactly, closes them under
 the simple reflections, and compares class counts and representatives with
 the labeling pipeline point by point.
 
-The closure is the one hot loop in the package; it runs on the compiled
-kernel when available (see :mod:`kacoh._orbit`).
+The torus side runs in integers: the lattice basis and the root points are
+scaled by a common denominator, and the reflection closure (the hot loop,
+:mod:`kacoh._orbit`) never sees a Fraction.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from ._orbit import orbit_partition
+from ._orbit import orbit_partition, reduce_point
 from .diagram import ExtendedDiagram
 from .exactalg import (
     block_diag,
     column_style_hermite,
     congruence_lattice,
-    invert,
     lcm_denominators,
     mat_vec,
     reduce_mod_basis,
@@ -56,9 +57,25 @@ class Budget:
     @classmethod
     def from_env(cls) -> "Budget":
         return cls(
-            max_rank=int(os.environ.get("KACOH_ORACLE_MAX_RANK", 7)),
-            max_n=int(os.environ.get("KACOH_ORACLE_MAX_N", 3)),
+            max_rank=_env_int("KACOH_ORACLE_MAX_RANK", cls.max_rank),
+            max_n=_env_int("KACOH_ORACLE_MAX_N", cls.max_n),
         )
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise BudgetError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _divided(vectors, denom: int) -> list:
+    """Integer vectors divided by ``denom``, one Fraction per distinct entry."""
+    as_fraction = {x: Fraction(x, denom) for x in {x for v in vectors for x in v}}
+    return [tuple(map(as_fraction.__getitem__, v)) for v in vectors]
 
 
 class CoweightLattice:
@@ -66,7 +83,10 @@ class CoweightLattice:
 
     Carries a triangular basis in coroot coordinates (columns, positive
     diagonal) supporting exact membership tests and a canonical reduction
-    into the half-open fundamental box.
+    into the half-open fundamental box.  The basis is built in integers:
+    ``hnf`` is ``scale`` times ``basis``, where ``scale`` is the lcm of the
+    denominators of the inverse Cartan matrix, so every coweight has
+    integer coordinates once multiplied by ``scale``.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -74,8 +94,15 @@ class CoweightLattice:
         self.diagram: ExtendedDiagram = spec.diagram()
         rank = spec.total_rank
         self.rank = rank
-        self.cartan = block_diag([cartan_data(t).cartan for t in spec.components])
-        self.inverse_cartan = invert(self.cartan)
+        blocks = [cartan_data(t) for t in spec.components]
+        self.cartan = block_diag([d.cartan for d in blocks])
+        self.inverse_cartan = block_diag([d.inverse_cartan for d in blocks])
+        scale = lcm(*(x.denominator for row in self.inverse_cartan for x in row))
+        self.scale = scale
+        self.scaled_inverse = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row in self.inverse_cartan
+        )
 
         # {t integer : sum_j c_j t_j in Z for all generators c}, in the
         # coordinates of the coweight basis.
@@ -88,27 +115,22 @@ class CoweightLattice:
         tbasis = congruence_lattice(rows, modulus, rank)
         self.coweight_basis = tuple(tbasis)  # columns, coweight coordinates
 
-        cols = [mat_vec(self.inverse_cartan, t) for t in tbasis]
-        denom = lcm_denominators(x for col in cols for x in col)
-        scaled = [[int(x * denom) for x in col] for col in cols]
-        hnf = column_style_hermite(scaled)
+        hnf = column_style_hermite([mat_vec(self.scaled_inverse, t) for t in tbasis])
         if len(hnf) != rank:
             raise InternalCheckError("cocharacter lattice is not full rank")
-        self.basis = tuple(
-            tuple(Fraction(e, denom) for e in col) for col in hnf
-        )
-        for i, col in enumerate(self.basis):
+        for i, col in enumerate(hnf):
             if any(col[k] != 0 for k in range(i)) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
         # Sandwich checks: contains all coroots, sits inside the coweights.
         for i in range(rank):
-            e_i = tuple(int(k == i) for k in range(rank))
-            if not self.contains(e_i):
+            e_i = tuple(scale * int(k == i) for k in range(rank))
+            if any(reduce_point(e_i, hnf)):
                 raise InternalCheckError("coroot lattice not contained in basis")
-        for col in self.basis:
-            for x in mat_vec(self.cartan, col):
-                if Fraction(x).denominator != 1:
-                    raise InternalCheckError("basis vector outside the coweights")
+        for col in hnf:
+            if any(x % scale for x in mat_vec(self.cartan, col)):
+                raise InternalCheckError("basis vector outside the coweights")
+        self.hnf = tuple(hnf)
+        self.basis = tuple(_divided(hnf, scale))
 
     def canonicalize(self, coords) -> tuple:
         return reduce_mod_basis(coords, self.basis)
@@ -120,16 +142,16 @@ class CoweightLattice:
         return all(x == 0 for x in self.canonicalize(coords))
 
     def index_over_coroots(self) -> int:
-        num = 1
-        for i, col in enumerate(self.basis):
-            num *= col[i]
-        inv = 1 / num
-        if inv.denominator != 1:
+        covolume = 1
+        for i, col in enumerate(self.hnf):
+            covolume *= col[i]
+        index, rem = divmod(self.scale ** self.rank, covolume)
+        if rem:
             raise InternalCheckError("non-integral lattice index")
-        return int(inv)
+        return index
 
-    def central_representative(self, z: CentralElement) -> tuple:
-        """A coweight whose pairings with the generators realize ``z``.
+    def central_coweight(self, z: CentralElement) -> tuple:
+        """Integer coweight coordinates of a coweight realizing ``z``.
 
         Searched over the finitely many coweight classes modulo this
         lattice; rejects value tuples that are not homomorphisms.
@@ -142,8 +164,12 @@ class CoweightLattice:
                 for gen, val in zip(self.spec.generators, z.values)
             )
             if ok:
-                return tuple(mat_vec(self.inverse_cartan, t))
+                return t
         raise SpecError("central element has no representative coweight")
+
+    def central_representative(self, z: CentralElement) -> tuple:
+        """The coweight of :meth:`central_coweight` in coroot coordinates."""
+        return tuple(mat_vec(self.inverse_cartan, self.central_coweight(z)))
 
 
 def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
@@ -154,56 +180,49 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     """All torus points whose n-th power is the central element.
 
     These are (zeta + mu)/n with mu running over lattice representatives
-    modulo n; there are exactly n**rank of them.
+    modulo n; there are exactly n**rank of them.  They are built in
+    integers scaled by ``n * lattice.scale``, where the lattice is spanned by
+    ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
+    order; only the returned points carry Fractions.
     """
-    zeta = lattice.central_representative(z)
-    rank = lattice.rank
-    points = []
-    seen = set()
-    for combo in itertools.product(range(n), repeat=rank):
-        mu = [Fraction(0)] * rank
-        for c, col in zip(combo, lattice.basis):
-            if c:
-                mu = [a + c * b for a, b in zip(mu, col)]
-        coords = tuple(
-            Fraction(zc + mc, n) for zc, mc in zip(zeta, mu)
-        )
-        pt = lattice.canonical_point(coords)
-        if pt.coords in seen:
-            raise InternalCheckError("duplicate root of the central element")
-        seen.add(pt.coords)
-        points.append(pt)
-    return points
+    points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
+    for col in lattice.hnf:
+        points = [
+            tuple(a + c * b for a, b in zip(pt, col))
+            for pt in points
+            for c in range(n)
+        ]
+    box = [tuple(n * x for x in col) for col in lattice.hnf]
+    reduced = [reduce_point(pt, box) for pt in points]
+    if len(set(reduced)) != len(reduced):
+        raise InternalCheckError("duplicate root of the central element")
+    return [TorusPoint(coords=c) for c in _divided(reduced, n * lattice.scale)]
 
 
-def _reflection_matrices(lattice: CoweightLattice) -> list:
-    mats = []
-    rank = lattice.rank
-    cartan = lattice.cartan
-    for i in range(rank):
-        mats.append(
-            tuple(
-                tuple(int(k == j) - int(k == i) * cartan[i][j] for j in range(rank))
-                for k in range(rank)
-            )
-        )
-    return mats
+def _reflection_rows(lattice: CoweightLattice) -> tuple:
+    """Per simple reflection s_i, the sparse row of its coordinate i.
+
+    s_i fixes every coordinate but x_i, which becomes
+    sum_j (delta_ij - a_ij) x_j over the nonzero terms of Cartan row i.
+    """
+    return tuple(
+        tuple((j, int(i == j) - a) for j, a in enumerate(row) if a != int(i == j))
+        for i, row in enumerate(lattice.cartan)
+    )
 
 
 def _orbit_indices(points, lattice: CoweightLattice) -> list:
     """Orbit partition of canonical points under the simple reflections."""
     if not points:
         return []
-    rank = lattice.rank
-    denom = lcm_denominators(
-        [x for p in points for x in p.coords]
-        + [x for col in lattice.basis for x in col]
-    )
-    scaled_points = [tuple(int(x * denom) for x in p.coords) for p in points]
-    scaled_basis = [tuple(int(x * denom) for x in col) for col in lattice.basis]
-    reflections = _reflection_matrices(lattice)
+    scale = lcm(lattice.scale, *{x.denominator for p in points for x in p.coords})
+    scaled_points = [
+        tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points
+    ]
+    factor = scale // lattice.scale
+    scaled_basis = [tuple(factor * x for x in col) for col in lattice.hnf]
     try:
-        return orbit_partition(scaled_points, reflections, scaled_basis)
+        return orbit_partition(scaled_points, _reflection_rows(lattice), scaled_basis)
     except KeyError as exc:
         raise InternalCheckError(
             "a reflection left the point set; the central element bookkeeping "

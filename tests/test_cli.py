@@ -105,13 +105,20 @@ def test_oracle_check(capsys):
     assert all(l.endswith("ok") for l in lines)
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "h1", "--spec", "sc:Z9", "--q", "0")
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "h1", "--spec", "sc:E7", "--q", "000/00/001")
     assert code == 4
     code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")
     assert code == 5
+    code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", "x")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "--n-list" in err
+    for name in ("KACOH_ORACLE_MAX_RANK", "KACOH_ORACLE_MAX_N"):
+        with monkeypatch.context() as m:
+            m.setenv(name, "abc")
+            code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1")
+        assert code == 5 and out == "" and err.count("\n") == 1 and name in err
     with pytest.raises(SystemExit) as exc:
         main(["h1", "--spec", "sc:E7"])  # missing --q: usage error
     assert exc.value.code == 2

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kacoh._orbit import available_kernels
+from kacoh import _orbit
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -183,33 +183,69 @@ def test_budget_env_override(monkeypatch):
         cross_check(spec, trivial_central(spec), 2, budget=Budget.from_env())
 
 
-def test_kernels_agree():
-    kernels = available_kernels()
-    if "compiled" not in kernels:
-        pytest.skip("compiled kernel not built")
-    from kacoh.exactalg import lcm_denominators
-    from kacoh.oracle import _reflection_matrices
+def _dense_reflections(spec):
+    """Every simple reflection of the spec as a full matrix on coroot coordinates."""
+    from kacoh.exactalg import block_diag, identity
+    from kacoh.rootdata import cartan_data, reflection_matrix
 
-    for preset, n in (("sc:D5", 3), ("ad:C4", 2), ("halfspin:D6", 2)):
+    mats = []
+    for k, typ in enumerate(spec.components):
+        for i in range(1, typ.rank + 1):
+            blocks = [identity(t.rank) for t in spec.components]
+            blocks[k] = reflection_matrix(cartan_data(typ), i)
+            mats.append(block_diag(blocks))
+    return mats
+
+
+def _dense_partition(points, mats, lattice):
+    """Orbit partition by plain Fraction matrix products and reduction."""
+    from kacoh.exactalg import mat_vec
+
+    index = {p.coords: i for i, p in enumerate(points)}
+    orbit_of = {}
+    orbits = []
+    for start in range(len(points)):
+        if start in orbit_of:
+            continue
+        orbit_of[start] = len(orbits)
+        orbit, frontier = [start], [start]
+        while frontier:
+            coords = points[frontier.pop()].coords
+            for mat in mats:
+                j = index[lattice.canonicalize(mat_vec(mat, coords))]
+                if j not in orbit_of:
+                    orbit_of[j] = len(orbits)
+                    orbit.append(j)
+                    frontier.append(j)
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def test_orbit_kernel_matches_dense_reflections():
+    # Non-simply-laced types have an asymmetric Cartan matrix, so a sparse
+    # row taken from the wrong side of it changes the partition.
+    from kacoh.oracle import _orbit_indices, _reflection_rows
+
+    cases = (
+        ("sc:B3", 3), ("sc:C3", 3), ("sc:F4", 2), ("sc:G2", 3),
+        ("halfspin:D6", 2), ("sc:A3xA1", 3),
+    )
+    for preset, n in cases:
         spec = preset_spec(preset)
         lattice = build_coweight_lattice(spec)
+        mats = _dense_reflections(spec)
         for z in enumerate_center(spec):
-            pts = enumerate_roots_of_z(lattice, z, n)
-            denom = lcm_denominators(
-                [x for p in pts for x in p.coords]
-                + [x for col in lattice.basis for x in col]
-            )
-            sp = [tuple(int(x * denom) for x in p.coords) for p in pts]
-            sb = [tuple(int(x * denom) for x in col) for col in lattice.basis]
-            refl = _reflection_matrices(lattice)
-            assert kernels["pure"](sp, refl, sb) == kernels["compiled"](sp, refl, sb)
-
-
-def test_pure_kernel_forced_by_env(monkeypatch):
-    from kacoh._orbit import active_kernel
-
-    monkeypatch.setenv("KACOH_PURE", "1")
-    assert active_kernel()[0] == "pure"
+            points = enumerate_roots_of_z(lattice, z, n)
+            expected = _dense_partition(points, mats, lattice)
+            denom = n * lattice.scale
+            scaled = [
+                tuple(x.numerator * (denom // x.denominator) for x in p.coords)
+                for p in points
+            ]
+            basis = [tuple(n * x for x in col) for col in lattice.hnf]
+            rows = _reflection_rows(lattice)
+            assert _orbit.orbit_partition(scaled, rows, basis) == expected, (preset, z)
+            assert _orbit_indices(points, lattice) == expected, (preset, z)
 
 
 def test_phi_is_equivariant():
