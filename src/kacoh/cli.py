@@ -96,7 +96,7 @@ def _parse_z(spec: GroupSpec, text: str) -> CentralElement:
         return center[idx]
     try:
         values = tuple(Fraction(v) for v in text.split(","))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"cannot parse z selector {text!r}") from exc
     z = CentralElement(values=values)
     check_central(spec, z)

@@ -193,12 +193,6 @@ class FundamentalGroupElement:
     tags: tuple    # per component: 0 for the identity coset, else a mark-1 vertex
     sigma: tuple   # global vertex permutation, sigma[slot] = image slot
 
-    def inverse_sigma(self) -> tuple:
-        inv = [0] * len(self.sigma)
-        for i, img in enumerate(self.sigma):
-            inv[img] = i
-        return tuple(inv)
-
 
 @dataclass(frozen=True)
 class FundamentalGroup:
@@ -224,14 +218,6 @@ class FundamentalGroup:
             if e.sigma == sigma:
                 return e
         raise InternalCheckError("product escaped the stored element list")
-
-    def element_order(self, g: FundamentalGroupElement) -> int:
-        e = self.identity()
-        x, k = g, 1
-        while x != e:
-            x = self.multiply(x, g)
-            k += 1
-        return k
 
     def subgroup(self, elements) -> "FundamentalGroup":
         elems = list(elements)

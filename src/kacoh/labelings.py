@@ -21,6 +21,7 @@ from .diagram import (
     FundamentalGroupElement,
     permuted_labels,
 )
+from .exactalg import lcm_denominators
 from .lattice import CentralElement, GroupSpec, _frac_mod1
 from .rootdata import InternalCheckError, LabelingError, SimpleType
 
@@ -72,37 +73,62 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
 
 
 def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
-    """Sum of generator coefficients against the labels at the root vertices."""
+    """Sum of generator coefficients against the labels at the root vertices.
+
+    The exact reference for the integer rows of :func:`_congruence_rows`.
+    """
     total = Fraction(0)
     for coeff, slot in zip(generator, diagram.pi_slots()):
         total += coeff * labeling.labels[slot]
     return _frac_mod1(total)
 
 
+def _congruence_rows(spec: GroupSpec) -> tuple:
+    """``(m, rows)``: the generators scaled to integers mod ``m``.
+
+    ``m`` is the lcm of the generator denominators and each row lists the
+    pairs ``(slot, c * m mod m)`` with nonzero entry over the root vertices,
+    so ``labeling_weight`` times ``m`` is the row's dot product mod ``m``.
+    """
+    m = lcm_denominators(x for gen in spec.generators for x in gen)
+    slots = spec.diagram().pi_slots()
+    rows = tuple(
+        tuple(
+            (slot, c.numerator * (m // c.denominator) % m)
+            for slot, c in zip(slots, map(Fraction, gen))
+            if c.denominator != 1
+        )
+        for gen in spec.generators
+    )
+    return m, rows
+
+
+def _congruent(labelings, spec: GroupSpec, targets) -> list:
+    """Keep labelings whose row sums are congruent mod ``m`` to ``targets``."""
+    m, rows = spec.derived(_congruence_rows)
+    checks = tuple(zip(rows, targets))
+    return [
+        p
+        for p in labelings
+        if all(sum(c * p.labels[s] for s, c in row) % m == t for row, t in checks)
+    ]
+
+
 def filter_for_central(labelings, spec: GroupSpec, z: CentralElement, diagram: ExtendedDiagram) -> list:
     """Keep labelings whose generator sums match the central element's values."""
-    out = []
-    for p in labelings:
-        if all(
-            labeling_weight(spec, diagram, gen, p) == val
-            for gen, val in zip(spec.generators, z.values)
-        ):
-            out.append(p)
-    return out
+    m, _ = spec.derived(_congruence_rows)
+    targets = [v * m for v in z.values]
+    if any(t.denominator != 1 for t in targets):
+        return []  # no labeling weight has a denominator beyond m
+    return _congruent(labelings, spec, [t.numerator for t in targets])
 
 
 def filter_matching_q(labelings, spec: GroupSpec, q: KacLabeling, diagram: ExtendedDiagram) -> list:
     """Keep labelings congruent to q against every generator of X/Q."""
     diagram.check_labeling(q.labels, q.n)
-    targets = [labeling_weight(spec, diagram, gen, q) for gen in spec.generators]
-    out = []
-    for p in labelings:
-        if all(
-            labeling_weight(spec, diagram, gen, p) == t
-            for gen, t in zip(spec.generators, targets)
-        ):
-            out.append(p)
-    return out
+    m, rows = spec.derived(_congruence_rows)
+    targets = [sum(c * q.labels[s] for s, c in row) % m for row in rows]
+    return _congruent(labelings, spec, targets)
 
 
 def act_on_labeling(g: FundamentalGroupElement, p: KacLabeling) -> KacLabeling:

@@ -14,9 +14,8 @@ Fraction tuples.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import (
@@ -26,7 +25,7 @@ from .diagram import (
     build_extended_diagram,
     fundamental_group,
 )
-from .exactalg import block_diag, lcm_denominators, mat_vec, transpose
+from .exactalg import block_diag, mat_vec, transpose
 from .rootdata import SimpleType, SpecError, cartan_data
 
 PRESETS = ("sc", "ad", "halfspin", "so")
@@ -36,13 +35,29 @@ PRESETS = ("sc", "ad", "halfspin", "so")
 class GroupSpec:
     components: tuple                 # SimpleType, ...
     generators: tuple                 # canonical generator vectors over the roots
+    # What :meth:`derived` has built from the two fields above.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_rank(self) -> int:
         return sum(t.rank for t in self.components)
 
+    def derived(self, build):
+        """``build(self)``, built on the first call and kept with the spec.
+
+        Data that depends on the spec alone (diagram, groups, the X/Q
+        closure, the coweight lattice, integer generator rows) is derived
+        through here, so repeated queries on one spec build each part once.
+        The results are shared: callers must not mutate them.
+        """
+        cache = self._derived
+        try:
+            return cache[build]
+        except KeyError:
+            return cache.setdefault(build, build(self))
+
     def diagram(self) -> ExtendedDiagram:
-        return build_extended_diagram(self.components)
+        return self.derived(_build_diagram)
 
     def describe(self) -> str:
         comps = "x".join(str(t) for t in self.components)
@@ -59,10 +74,14 @@ class CentralElement:
     """A central element, recorded by its values on the spec's generators.
 
     Each value is the class in Q/Z of the pairing of the generator with a
-    logarithm of the element, stored as a Fraction in [0,1).
+    logarithm of the element, stored as a Fraction in [0,1): values given
+    outside that range are reduced mod 1.
     """
 
     values: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(_frac_mod1(v) for v in self.values))
 
     @property
     def is_trivial(self) -> bool:
@@ -70,7 +89,9 @@ class CentralElement:
 
 
 def _frac_mod1(x) -> Fraction:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
+    if 0 <= f.numerator < f.denominator:
+        return f
     return f - (f.numerator // f.denominator)
 
 
@@ -82,9 +103,8 @@ def _global_cartan(components) -> tuple:
     return block_diag([cartan_data(t).cartan for t in components])
 
 
-def element_order(vec) -> int:
-    """Order of a class vector in P/Q: the lcm of entry denominators."""
-    return lcm_denominators(vec)
+def _build_diagram(spec: GroupSpec) -> ExtendedDiagram:
+    return build_extended_diagram(spec.components)
 
 
 def _closure(vectors, rank: int) -> set:
@@ -169,17 +189,30 @@ def validate_spec(components, xq_generators) -> GroupSpec:
                     f"{j + 1} is {val}"
                 )
         gens.append(vec)
-    closure = _closure(gens, rank)
-    stairs = _staircase(closure, rank)
-    return GroupSpec(components=comps, generators=tuple(g for g, _, _ in stairs))
+    closure = frozenset(_closure(gens, rank))
+    stairs = tuple(_staircase(closure, rank))
+    spec = GroupSpec(components=comps, generators=tuple(g for g, _, _ in stairs))
+    # The canonical generators span the same subgroup, so its closure and
+    # staircase are the ones just computed.
+    spec._derived[_xq_closure] = closure
+    spec._derived[_xq_staircase] = stairs
+    return spec
+
+
+def _xq_closure(spec: GroupSpec) -> frozenset:
+    return frozenset(_closure(spec.generators, spec.total_rank))
+
+
+def _xq_staircase(spec: GroupSpec) -> tuple:
+    return tuple(_staircase(spec.derived(_xq_closure), spec.total_rank))
 
 
 def xq_order(spec: GroupSpec) -> int:
-    return len(_closure(spec.generators, spec.total_rank))
+    return len(spec.derived(_xq_closure))
 
 
 def xq_elements(spec: GroupSpec) -> tuple:
-    return tuple(sorted(_closure(spec.generators, spec.total_rank)))
+    return tuple(sorted(spec.derived(_xq_closure)))
 
 
 def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: int = 0) -> Fraction:
@@ -210,11 +243,9 @@ def coset_pairing(gen, g: FundamentalGroupElement, diagram: ExtendedDiagram) -> 
     return _frac_mod1(total)
 
 
-def dual_subgroup(spec: GroupSpec, group: FundamentalGroup | None = None) -> FundamentalGroup:
-    """The coweight classes of X: the annihilator of X/Q under the pairing."""
-    diagram = group.diagram if group is not None else spec.diagram()
-    if group is None:
-        group = fundamental_group(diagram)
+def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
+    diagram = spec.diagram()
+    group = fundamental_group(diagram)
     kept = [
         g
         for g in group.elements
@@ -223,15 +254,18 @@ def dual_subgroup(spec: GroupSpec, group: FundamentalGroup | None = None) -> Fun
     return group.subgroup(kept)
 
 
+def dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
+    """The coweight classes of X: the annihilator of X/Q under the pairing."""
+    return spec.derived(_dual_subgroup)
+
+
 def enumerate_center(spec: GroupSpec) -> tuple:
     """All homomorphisms X/Q -> Q/Z, i.e. all central elements.
 
     Deterministic order: depth-first over the canonical generators with
     values increasing, so the trivial element always comes first.
     """
-    rank = spec.total_rank
-    closure = _closure(spec.generators, rank)
-    stairs = _staircase(closure, rank)
+    stairs = spec.derived(_xq_staircase)
     results = []
 
     def extend(idx, values):
@@ -252,14 +286,12 @@ def enumerate_center(spec: GroupSpec) -> tuple:
 
 def check_central(spec: GroupSpec, z: CentralElement) -> None:
     """Reject value tuples that do not define a homomorphism on X/Q."""
-    rank = spec.total_rank
     if len(z.values) != len(spec.generators):
         raise SpecError(
             f"central element carries {len(z.values)} values, "
             f"expected {len(spec.generators)}"
         )
-    closure = _closure(spec.generators, rank)
-    stairs = _staircase(closure, rank)
+    stairs = spec.derived(_xq_staircase)
     for (gen, d, combo), val in zip(stairs, z.values):
         target = Fraction(0)
         for k, mult in combo:
@@ -281,9 +313,10 @@ def trivial_central(spec: GroupSpec) -> CentralElement:
 def all_intermediate_specs(components) -> tuple:
     """Every lattice X with Q <= X <= P, as canonical GroupSpecs.
 
-    For the simple types the quotient P/Q needs at most two generators, so
-    closures of pairs exhaust the subgroups; products of many components are
-    not needed by the sweeps that call this.
+    Starting from the trivial subgroup of P/Q, each subgroup found is closed
+    with one more element until no new subgroup appears.  Every subgroup is
+    reached: adding its elements one at a time passes only through
+    subgroups.  Ordered by subgroup size, then by sorted elements.
     """
     comps = tuple(
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
@@ -291,14 +324,24 @@ def all_intermediate_specs(components) -> tuple:
     full = validate_spec(comps, _weight_basis(comps))
     elements = xq_elements(full)
     rank = full.total_rank
-    seen = {}
-    for take in range(0, 3):
-        for combo in itertools.combinations(elements, take):
-            sub = frozenset(_closure(list(combo), rank))
-            if sub not in seen:
-                seen[sub] = validate_spec(comps, sorted(sub))
+    trivial = frozenset(_closure([], rank))
+    found = {trivial: []}       # subgroup -> generators that close to it
+    frontier = [trivial]
+    while frontier:
+        grown = []
+        for sub in frontier:
+            gens = found[sub]
+            for e in elements:
+                if e in sub:
+                    continue
+                bigger = frozenset(_closure(gens + [e], rank))
+                if bigger not in found:
+                    found[bigger] = gens + [e]
+                    grown.append(bigger)
+        frontier = grown
     return tuple(
-        spec for _, spec in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        validate_spec(comps, gens)
+        for _, gens in sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     )
 
 
@@ -381,10 +424,14 @@ def load_spec(source: str) -> GroupSpec:
 def spec_from_document(doc) -> GroupSpec:
     if not isinstance(doc, dict) or "components" not in doc:
         raise SpecError("spec document must be an object with a 'components' list")
-    comps = [SimpleType.parse(t) for t in doc["components"]]
-    gens = []
-    for raw in doc.get("generators", []):
-        gens.append(tuple(_parse_rational(x) for x in raw))
+    names = doc["components"]
+    if not isinstance(names, list) or not all(isinstance(t, str) for t in names):
+        raise SpecError(f"spec components must be a list of type names, got {names!r}")
+    raws = doc.get("generators", [])
+    if not isinstance(raws, list) or not all(isinstance(g, list) for g in raws):
+        raise SpecError(f"spec generators must be a list of lists, got {raws!r}")
+    comps = [SimpleType.parse(t) for t in names]
+    gens = [tuple(_parse_rational(x) for x in raw) for raw in raws]
     return validate_spec(comps, gens)
 
 

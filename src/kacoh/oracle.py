@@ -173,7 +173,8 @@ class CoweightLattice:
 
 
 def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
-    return CoweightLattice(spec)
+    """The spec's lattice, built on first use and shared afterwards."""
+    return spec.derived(CoweightLattice)
 
 
 def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) -> list:

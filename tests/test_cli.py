@@ -88,6 +88,15 @@ def test_roots(capsys):
     assert code == 0
 
 
+def test_roots_z_values_reduced_mod_1(capsys):
+    # z values are classes in Q/Z: -1 is the trivial value and 3/2 is 1/2.
+    for given, canonical in (("-1", "0/1"), ("3/2", "1/2")):
+        code, out, _ = run(capsys, "roots", "--spec", "sc:A1", f"--z={given}", "--n", "2")
+        assert code == 0
+        _, expected, _ = run(capsys, "roots", "--spec", "sc:A1", "--z", canonical, "--n", "2")
+        assert out == expected and "0 classes" not in out
+
+
 def test_forms(capsys):
     code, out, _ = run(capsys, "forms", "--types", "E7")
     assert code == 0
@@ -105,9 +114,15 @@ def test_oracle_check(capsys):
     assert all(l.endswith("ok") for l in lines)
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "h1", "--spec", "sc:Z9", "--q", "0")
     assert code == 3 and "error" in err
+    code, out, err = run(capsys, "roots", "--spec", "sc:A1", "--z", "1/0", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "1/0" in err
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(json.dumps({"components": [7]}))
+    code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "components" in err
     code, _, err = run(capsys, "h1", "--spec", "sc:E7", "--q", "000/00/001")
     assert code == 4
     code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kacoh import cohomology
 from kacoh.cohomology import (
     h1_adjoint,
     h1_document,
@@ -266,3 +267,18 @@ def test_documents_use_exact_rationals():
         for c in cls["torus_point"]:
             num, _, den = c.partition("/")
             int(num), int(den)
+
+
+def test_roots_share_one_lattice(monkeypatch):
+    spec = preset_spec("sc:E7")
+    built = []
+
+    def recording(s):
+        built.append(build_coweight_lattice(s))
+        return built[-1]
+
+    monkeypatch.setattr(cohomology, "build_coweight_lattice", recording)
+    z = enumerate_center(spec)[1]
+    first = nth_root_classes(spec, z, 2)
+    assert nth_root_classes(spec, z, 2) == first
+    assert len(built) == 2 and built[0] is built[1]

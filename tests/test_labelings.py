@@ -12,10 +12,17 @@ from kacoh.labelings import (
     filter_for_central,
     filter_matching_q,
     format_labeling,
+    labeling_weight,
     orbit_decompose,
     parse_labeling,
 )
-from kacoh.lattice import dual_subgroup, enumerate_center, preset_spec
+from kacoh.lattice import (
+    CentralElement,
+    all_intermediate_specs,
+    dual_subgroup,
+    enumerate_center,
+    preset_spec,
+)
 from kacoh.rootdata import InternalCheckError, LabelingError, SimpleType
 
 
@@ -113,6 +120,36 @@ def test_filter_matching_q_adjoint_keeps_all():
     k2 = enumerate_Kn(d, 2)
     q = KacLabeling(labels=E7_K2[1], n=2)
     assert filter_matching_q(k2, spec, q, d) == k2
+
+
+def test_integer_filters_match_fraction_reference(types_rank6):
+    # The integer rows against the exact labeling_weight sums, on every
+    # lattice of every simple type of rank <= 6 and of A1xA1xA1.
+    specs = [s for typ in types_rank6 for s in all_intermediate_specs((typ,))]
+    specs += all_intermediate_specs(("A1", "A1", "A1"))
+    for spec in specs:
+        d = spec.diagram()
+        center = enumerate_center(spec)
+        for n in (1, 2, 3):
+            kn = enumerate_Kn(d, n)
+            weights = {
+                p: tuple(labeling_weight(spec, d, gen, p) for gen in spec.generators)
+                for p in kn
+            }
+            for z in center:
+                expected = [p for p in kn if weights[p] == z.values]
+                assert filter_for_central(kn, spec, z, d) == expected, (spec, z, n)
+            for q in kn:
+                expected = [p for p in kn if weights[p] == weights[q]]
+                assert filter_matching_q(kn, spec, q, d) == expected, (spec, q)
+
+
+def test_filter_for_central_value_outside_the_lattice():
+    # 1/3 is no pairing value of sc:E7 (order 2): nothing matches.
+    spec = preset_spec("sc:E7")
+    d = spec.diagram()
+    z = CentralElement(values=(F(1, 3),))
+    assert filter_for_central(enumerate_Kn(d, 3), spec, z, d) == []
 
 
 def test_filter_matching_q_rejects_invalid():

@@ -14,8 +14,10 @@ from kacoh.lattice import (
     spec_from_document,
     spec_to_document,
     validate_spec,
+    xq_elements,
     xq_order,
 )
+from kacoh.oracle import cross_check
 from kacoh.rootdata import SimpleType, SpecError
 
 
@@ -118,6 +120,34 @@ def test_subgroup_counts():
         assert len(all_intermediate_specs((SimpleType.parse(name),))) == expected, name
 
 
+def test_subgroup_sweep_of_a_product():
+    # Z2^3 has 16 subgroups; the full group needs three generators.
+    specs = all_intermediate_specs(("A1", "A1", "A1"))
+    assert len(specs) == 16
+    assert len({xq_elements(spec) for spec in specs}) == 16
+    assert [xq_order(spec) for spec in specs] == [1] + [2] * 7 + [4] * 7 + [8]
+    for spec in specs:
+        for z in enumerate_center(spec):
+            report = cross_check(spec, z, 2)
+            assert report.ok, (spec, z, report.failure)
+
+
+def test_spec_data_built_once():
+    spec = preset_spec("halfspin:D6")
+    assert spec.diagram() is spec.diagram()
+    assert dual_subgroup(spec) is dual_subgroup(spec)
+    # Equal specs compare equal whatever each has built so far.
+    assert preset_spec("halfspin:D6") == spec
+
+
+def test_central_values_reduced_mod_1():
+    z = CentralElement(values=(F(-1), F(3, 2), 2, F(-1, 3)))
+    assert z.values == (0, F(1, 2), 0, F(2, 3))
+    spec = preset_spec("sc:A1")
+    assert CentralElement(values=(F(3, 2),)) == enumerate_center(spec)[1]
+    check_central(spec, CentralElement(values=(F(-1),)))
+
+
 def test_center_sizes():
     assert len(enumerate_center(preset_spec("ad:E7"))) == 1
     assert len(enumerate_center(preset_spec("sc:E7"))) == 2
@@ -174,3 +204,7 @@ def test_spec_document_round_trip():
         spec_from_document({"generators": []})
     with pytest.raises(SpecError):
         spec_from_document({"components": ["D6"], "generators": [[0.5] * 6]})
+    for bad in ({"components": [7]}, {"components": "D6"},
+                {"components": ["D6"], "generators": [5]}):
+        with pytest.raises(SpecError):
+            spec_from_document(bad)
