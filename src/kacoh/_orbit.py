@@ -8,28 +8,12 @@ image costs one short dot product plus a reduction that starts at ``i``.
 
 from __future__ import annotations
 
+from .exactalg import reduce_mod_basis
+
 
 def active_kernel():
     """(name, orbit_partition) of the kernel this process uses."""
     return "pure", orbit_partition
-
-
-def reduce_point(vec, basis, start=0):
-    """Reduce an integer vector modulo a lower-triangular integer basis.
-
-    ``basis`` is a list of columns with positive diagonal; the result has
-    0 <= out[i] < basis[i][i] for every coordinate.  Coordinates below
-    ``start`` must already be reduced; they are left as they are.
-    """
-    x = list(vec)
-    dim = len(x)
-    for i in range(start, dim):
-        col = basis[i]
-        q = x[i] // col[i]
-        if q:
-            for k in range(i, dim):
-                x[k] -= q * col[k]
-    return tuple(x)
 
 
 def orbit_partition(points, reflections, basis):
@@ -62,7 +46,7 @@ def orbit_partition(points, reflections, basis):
                 image[i] = x_i
                 # Only coordinate i moved: inside its box, the image is reduced.
                 if not 0 <= x_i < bound:
-                    image = reduce_point(image, basis, i)
+                    image = reduce_mod_basis(image, basis, i)
                 j = index[tuple(image)]
                 if not seen[j]:
                     seen[j] = True

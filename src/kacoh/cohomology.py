@@ -16,7 +16,6 @@ from .diagram import ExtendedDiagram, fundamental_group
 from .labelings import (
     KacLabeling,
     LabelingOrbit,
-    barycenter_coweight,
     compact_labeling,
     enumerate_Kn,
     filter_for_central,
@@ -57,7 +56,7 @@ def phi(p: KacLabeling, spec: GroupSpec, lattice: CoweightLattice | None = None)
     """Torus point of a labeling: its alcove point modulo the coweight lattice."""
     if lattice is None:
         lattice = build_coweight_lattice(spec)
-    return lattice.canonical_point(barycenter_coweight(p, lattice.diagram))
+    return lattice.alcove_point(p)
 
 
 def z_from_q(q: KacLabeling, n: int, spec: GroupSpec) -> CentralElement:

@@ -135,13 +135,6 @@ class ExtendedDiagram:
             out.extend(range(off, off + typ.rank))
         return tuple(out)
 
-    def mark_one_vertices(self, k: int) -> tuple:
-        """Local ids of the mark-1 vertices of one component, extra vertex last."""
-        typ = self.components[k]
-        data = cartan_data(typ)
-        ids = [j for j in range(1, typ.rank + 1) if data.marks[j - 1] == 1]
-        return tuple(ids) + (0,)
-
     def edges(self) -> tuple:
         """Global edges as (slot_a, slot_b, multiplicity, arrow_to) tuples.
 

@@ -10,7 +10,7 @@ the straightforward ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 from typing import Sequence
 
 Vec = tuple
@@ -162,21 +162,24 @@ def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) ->
     return column_style_hermite(heads)
 
 
-def reduce_mod_basis(v: Sequence, basis: Sequence[Sequence]) -> Vec:
-    """Canonical representative of ``v`` modulo the column lattice ``basis``.
+def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]], start: int = 0) -> Vec:
+    """Canonical representative of an integer vector modulo the column lattice ``basis``.
 
     ``basis`` must be lower triangular with positive diagonal (as produced by
-    :func:`column_style_hermite` on a full-rank lattice).  The result lands in
-    the half-open fundamental parallelepiped, so two vectors are congruent
-    modulo the lattice iff they reduce to the same tuple.
+    :func:`column_style_hermite` on a full-rank lattice).  The result has
+    0 <= out[i] < basis[i][i] for every coordinate, so two vectors are
+    congruent modulo the lattice iff they reduce to the same tuple.
+    Coordinates below ``start`` must already be reduced; they are left as
+    they are.
     """
-    x = [Fraction(a) for a in v]
-    for i, col in enumerate(basis):
-        q = floor(x[i] / col[i])
+    x = list(vec)
+    dim = len(x)
+    for i in range(start, dim):
+        col = basis[i]
+        q = x[i] // col[i]
         if q:
-            for k in range(i, len(x)):
-                if col[k]:
-                    x[k] -= q * col[k]
+            for k in range(i, dim):
+                x[k] -= q * col[k]
     return tuple(x)
 
 

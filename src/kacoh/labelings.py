@@ -58,7 +58,12 @@ def _component_solutions(diagram: ExtendedDiagram, k: int, n: int) -> list:
 
 
 def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
-    """Every Kac n-labeling, in lexicographic order of the flat label tuple."""
+    """Every Kac n-labeling, in lexicographic order of the flat label tuple.
+
+    Each component's solutions are lexicographic over its own block of
+    slots and the blocks are laid out in component order, so their product
+    is already lexicographic.
+    """
     if n < 1:
         raise LabelingError(f"n must be positive, got {n}")
     per_component = [
@@ -68,7 +73,6 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
     for combo in itertools.product(*per_component):
         flat = tuple(itertools.chain.from_iterable(combo))
         out.append(KacLabeling(labels=flat, n=n))
-    out.sort()
     return out
 
 
@@ -186,28 +190,6 @@ def compact_labeling(diagram: ExtendedDiagram, n: int = 2) -> KacLabeling:
     for k, typ in enumerate(diagram.components):
         labels[diagram.slot(k, 0)] = n
     return KacLabeling(labels=tuple(labels), n=n)
-
-
-def barycenter_coweight(p: KacLabeling, diagram: ExtendedDiagram) -> tuple:
-    """The alcove point of a labeling, in simple-coroot coordinates.
-
-    Equals 1/n times the sum of the root-vertex labels against the
-    fundamental coweights; the extra-vertex labels are determined by the
-    others and do not enter.
-    """
-    from .rootdata import cartan_data, fundamental_coweight
-
-    coords = []
-    for k, typ in enumerate(diagram.components):
-        data = cartan_data(typ)
-        block = [Fraction(0)] * typ.rank
-        for j in range(1, typ.rank + 1):
-            label = p.labels[diagram.slot(k, j)]
-            if label:
-                cw = fundamental_coweight(data, j)
-                block = [a + label * b for a, b in zip(block, cw)]
-        coords.extend(Fraction(x, p.n) for x in block)
-    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

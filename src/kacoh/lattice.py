@@ -171,8 +171,7 @@ def validate_spec(components, xq_generators) -> GroupSpec:
     )
     if not comps:
         raise SpecError("empty component list")
-    diagram = build_extended_diagram(comps)
-    rank = diagram.total_rank
+    rank = sum(t.rank for t in comps)
     cartan_t = transpose(_global_cartan(comps))
     gens = []
     for raw in xq_generators:
@@ -414,10 +413,11 @@ def load_spec(source: str) -> GroupSpec:
     try:
         with open(source, "rb") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file {source!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file {source!r} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path, or a file that is not text.
+        raise SpecError(f"cannot read spec file {source!r}: {exc}") from exc
     return spec_from_document(doc)
 
 
@@ -446,7 +446,7 @@ def _parse_rational(x) -> Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational {x!r}") from exc
     if isinstance(x, int):
         return Fraction(x)

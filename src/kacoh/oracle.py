@@ -8,9 +8,11 @@ enumerates the n-th roots of a central element exactly, closes them under
 the simple reflections, and compares class counts and representatives with
 the labeling pipeline point by point.
 
-The torus side runs in integers: the lattice basis and the root points are
-scaled by a common denominator, and the reflection closure (the hot loop,
-:mod:`kacoh._orbit`) never sees a Fraction.
+The torus side runs in integers.  A torus point is an integer vector over
+one denominator (:class:`TorusPoint`); the lattice basis, the root points and
+the alcove points of labelings are reduced in the lattice's integer scaling
+by :func:`kacoh.exactalg.reduce_mod_basis`, and the reflection closure (the
+hot loop, :mod:`kacoh._orbit`) never sees a Fraction.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from ._orbit import orbit_partition, reduce_point
-from .diagram import ExtendedDiagram
+from ._orbit import orbit_partition
 from .exactalg import (
     block_diag,
     column_style_hermite,
@@ -31,20 +32,37 @@ from .exactalg import (
     mat_vec,
     reduce_mod_basis,
 )
-from .labelings import barycenter_coweight, filter_for_central, enumerate_Kn, orbit_decompose
+from .labelings import KacLabeling, filter_for_central, enumerate_Kn, orbit_decompose
 from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, spec_to_document, _frac_mod1
 from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
 
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A torus element as canonically reduced simple-coroot coordinates."""
+    """A torus element as canonically reduced simple-coroot coordinates.
 
-    coords: tuple
+    The coordinates are the integers ``numerators`` over one ``denominator``,
+    kept in lowest terms, so equal points compare equal whatever scaling
+    they were built in.
+    """
+
+    numerators: tuple
+    denominator: int = 1
+
+    def __post_init__(self):
+        g = gcd(self.denominator, *self.numerators)
+        if g != 1:
+            object.__setattr__(self, "numerators", tuple(x // g for x in self.numerators))
+            object.__setattr__(self, "denominator", self.denominator // g)
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @property
     def is_identity(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not any(self.numerators)
 
 
 @dataclass(frozen=True)
@@ -72,26 +90,20 @@ def _env_int(name: str, default: int) -> int:
         raise BudgetError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _divided(vectors, denom: int) -> list:
-    """Integer vectors divided by ``denom``, one Fraction per distinct entry."""
-    as_fraction = {x: Fraction(x, denom) for x in {x for v in vectors for x in v}}
-    return [tuple(map(as_fraction.__getitem__, v)) for v in vectors]
-
-
 class CoweightLattice:
     """The cocharacter lattice of X inside the coweight lattice.
 
     Carries a triangular basis in coroot coordinates (columns, positive
     diagonal) supporting exact membership tests and a canonical reduction
-    into the half-open fundamental box.  The basis is built in integers:
-    ``hnf`` is ``scale`` times ``basis``, where ``scale`` is the lcm of the
+    into the half-open fundamental box.  The basis is held in integers:
+    ``hnf`` is ``scale`` times the basis, where ``scale`` is the lcm of the
     denominators of the inverse Cartan matrix, so every coweight has
-    integer coordinates once multiplied by ``scale``.
+    integer coordinates once multiplied by ``scale``.  Points are reduced in
+    that scaling, times a factor where their denominators need one.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.diagram: ExtendedDiagram = spec.diagram()
         rank = spec.total_rank
         self.rank = rank
         blocks = [cartan_data(t) for t in spec.components]
@@ -103,6 +115,8 @@ class CoweightLattice:
             tuple(x.numerator * (scale // x.denominator) for x in row)
             for row in self.inverse_cartan
         )
+        # (label slot, scale * fundamental coweight) per simple coroot.
+        self._coweights = tuple(zip(spec.diagram().pi_slots(), zip(*self.scaled_inverse)))
 
         # {t integer : sum_j c_j t_j in Z for all generators c}, in the
         # coordinates of the coweight basis.
@@ -124,22 +138,44 @@ class CoweightLattice:
         # Sandwich checks: contains all coroots, sits inside the coweights.
         for i in range(rank):
             e_i = tuple(scale * int(k == i) for k in range(rank))
-            if any(reduce_point(e_i, hnf)):
+            if any(reduce_mod_basis(e_i, hnf)):
                 raise InternalCheckError("coroot lattice not contained in basis")
         for col in hnf:
             if any(x % scale for x in mat_vec(self.cartan, col)):
                 raise InternalCheckError("basis vector outside the coweights")
         self.hnf = tuple(hnf)
-        self.basis = tuple(_divided(hnf, scale))
 
-    def canonicalize(self, coords) -> tuple:
-        return reduce_mod_basis(coords, self.basis)
+    def _scaled_hnf(self, factor: int) -> tuple:
+        """The basis at ``factor * scale``: the columns of ``factor * hnf``."""
+        return tuple(tuple(factor * x for x in col) for col in self.hnf)
 
     def canonical_point(self, coords) -> TorusPoint:
-        return TorusPoint(coords=self.canonicalize(coords))
+        """The reduced point of rational simple-coroot coordinates."""
+        denominator = lcm(self.scale, *(x.denominator for x in coords))
+        scaled = [x.numerator * (denominator // x.denominator) for x in coords]
+        box = self._scaled_hnf(denominator // self.scale)
+        return TorusPoint(reduce_mod_basis(scaled, box), denominator)
+
+    def canonicalize(self, coords) -> tuple:
+        return self.canonical_point(coords).coords
 
     def contains(self, coords) -> bool:
-        return all(x == 0 for x in self.canonicalize(coords))
+        return self.canonical_point(coords).is_identity
+
+    def alcove_point(self, p: KacLabeling) -> TorusPoint:
+        """The torus point of a labeling: its alcove point modulo the lattice.
+
+        The alcove point is 1/n times the sum of the root-vertex labels
+        against the fundamental coweights; the extra-vertex labels are
+        determined by the others and do not enter.  It is built scaled by
+        ``n * scale`` and reduced against ``n * hnf``.
+        """
+        x = [0] * self.rank
+        for slot, coweight in self._coweights:
+            label = p.labels[slot]
+            if label:
+                x = [a + label * b for a, b in zip(x, coweight)]
+        return TorusPoint(reduce_mod_basis(x, self._scaled_hnf(p.n)), p.n * self.scale)
 
     def index_over_coroots(self) -> int:
         covolume = 1
@@ -184,7 +220,7 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     modulo n; there are exactly n**rank of them.  They are built in
     integers scaled by ``n * lattice.scale``, where the lattice is spanned by
     ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
-    order; only the returned points carry Fractions.
+    order.
     """
     points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
     for col in lattice.hnf:
@@ -193,11 +229,12 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
             for pt in points
             for c in range(n)
         ]
-    box = [tuple(n * x for x in col) for col in lattice.hnf]
-    reduced = [reduce_point(pt, box) for pt in points]
+    box = lattice._scaled_hnf(n)
+    reduced = [reduce_mod_basis(pt, box) for pt in points]
     if len(set(reduced)) != len(reduced):
         raise InternalCheckError("duplicate root of the central element")
-    return [TorusPoint(coords=c) for c in _divided(reduced, n * lattice.scale)]
+    denominator = n * lattice.scale
+    return [TorusPoint(pt, denominator) for pt in reduced]
 
 
 def _reflection_rows(lattice: CoweightLattice) -> tuple:
@@ -216,12 +253,11 @@ def _orbit_indices(points, lattice: CoweightLattice) -> list:
     """Orbit partition of canonical points under the simple reflections."""
     if not points:
         return []
-    scale = lcm(lattice.scale, *{x.denominator for p in points for x in p.coords})
+    denominator = lcm(lattice.scale, *{p.denominator for p in points})
     scaled_points = [
-        tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points
+        tuple(x * (denominator // p.denominator) for x in p.numerators) for p in points
     ]
-    factor = scale // lattice.scale
-    scaled_basis = [tuple(factor * x for x in col) for col in lattice.hnf]
+    scaled_basis = lattice._scaled_hnf(denominator // lattice.scale)
     try:
         return orbit_partition(scaled_points, _reflection_rows(lattice), scaled_basis)
     except KeyError as exc:
@@ -299,10 +335,9 @@ def cross_check(
     lattice = build_coweight_lattice(spec)
     points = enumerate_roots_of_z(lattice, z, n)
     torus_partition = _orbit_indices(points, lattice)
-    point_to_orbit = {}
-    for oi, orbit in enumerate(torus_partition):
-        for pi in orbit:
-            point_to_orbit[points[pi].coords] = oi
+    point_to_orbit = {
+        points[pi]: oi for oi, orbit in enumerate(torus_partition) for pi in orbit
+    }
 
     kac_sizes = tuple(len(o.members) for o in kac_orbits)
     torus_sizes = tuple(len(o) for o in torus_partition)
@@ -311,10 +346,7 @@ def cross_check(
     failure = None
     used = {}
     for ci, orbit in enumerate(kac_orbits):
-        coords = lattice.canonicalize(
-            barycenter_coweight(orbit.representative, diagram)
-        )
-        target = point_to_orbit.get(coords)
+        target = point_to_orbit.get(lattice.alcove_point(orbit.representative))
         if target is None:
             failure = (
                 f"class {ci} (representative {orbit.representative.labels}) "

@@ -164,12 +164,16 @@ def test_criterion_6_sigma_cross_check():
 def test_criterion_7_oracle_equivalence_sweep():
     started = time.perf_counter()
     runs = 0
-    for typ in simple_types(6):
-        for spec in all_intermediate_specs((typ,)):
+    products = [
+        tuple(SimpleType.parse(t) for t in name.split("x"))
+        for name in ("A1xA1", "A3xA1", "A1xA1xA1", "C3xA1", "A2xG2xA1")
+    ]
+    for comps in [(typ,) for typ in simple_types(6)] + products:
+        for spec in all_intermediate_specs(comps):
             for z in enumerate_center(spec):
                 for n in (1, 2, 3):
                     report = cross_check(spec, z, n)
-                    assert report.ok, (typ, spec.generators, n, report.failure)
+                    assert report.ok, (comps, spec.generators, n, report.failure)
                     runs += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kacoh.cli import main
 
@@ -123,6 +128,14 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     bad_spec.write_text(json.dumps({"components": [7]}))
     code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
     assert code == 3 and out == "" and err.count("\n") == 1 and "components" in err
+    bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [["1/0"]]}))
+    code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "1/0" in err
+    binary_spec = tmp_path / "binary.json"
+    binary_spec.write_bytes(b"\xff\xfe\xfa")
+    for path in (str(binary_spec), "spec\x00.json"):
+        code, out, err = run(capsys, "roots", "--spec", path, "--z", "0", "--n", "2")
+        assert code == 3 and out == "" and err.count("\n") == 1 and "cannot read" in err
     code, _, err = run(capsys, "h1", "--spec", "sc:E7", "--q", "000/00/001")
     assert code == 4
     code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")
@@ -175,3 +188,98 @@ def test_determinism(capsys):
         assert code == 0 and err == ""
         outputs.add(out)
     assert len(outputs) == 1
+
+
+FAMILIES = "ABCDEFGZ"
+
+
+def mostly(usual, other):
+    """``usual`` about three draws in four, else ``other``."""
+    return st.sampled_from((usual, usual, usual, other)).flatmap(lambda s: s)
+
+
+def _type_token(max_rank):
+    return st.builds(
+        "{}{}".format, st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=max_rank)
+    )
+
+
+# One type of rank up to 9, or a product of two small ones, or junk.
+types_text = mostly(
+    st.one_of(_type_token(9), st.builds("x".join, st.lists(_type_token(4), min_size=2, max_size=2))),
+    st.text(max_size=8),
+)
+preset_text = mostly(
+    st.builds("{}:{}".format, st.sampled_from(("sc", "ad", "halfspin", "so", "xx")), types_text),
+    st.text(max_size=10),
+)
+rational = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(("1/2", "1/3", "2/3", "1/4", "3/4", "0/1", "1/0")),
+    st.text(max_size=5),
+)
+spec_document = mostly(
+    st.fixed_dictionaries(
+        {"components": st.lists(mostly(_type_token(4), st.text(max_size=4)), max_size=2)},
+        optional={"generators": st.lists(st.lists(rational, max_size=8), max_size=2)},
+    ),
+    st.one_of(
+        st.fixed_dictionaries({"components": st.integers() | st.text(max_size=4)}),
+        st.lists(st.integers(), max_size=2),
+    ),
+)
+free_text = st.text(max_size=12)
+labeling_text = st.one_of(st.text(alphabet="0123456789/,;", max_size=12), free_text)
+VALUES = {
+    "--n": mostly(st.integers(min_value=-2, max_value=4).map(str), free_text),
+    "--z": mostly(st.sampled_from(("trivial", "0", "1", "2", "1/2", "all")), free_text),
+    "--q": labeling_text,
+    "--match-q": labeling_text,
+    "--types": types_text,
+    "--n-list": mostly(st.sampled_from(("1", "1,2", "2,3", "0", "-1")), free_text),
+    "--format": mostly(st.sampled_from(("text", "json")), st.just("xml")),
+}
+VERB_OPTIONS = {
+    "labelings": ("--n", "--z", "--match-q"),
+    "h1": ("--q",),
+    "adjoint-h1": ("--types",),
+    "roots": ("--z", "--n"),
+    "forms": ("--types",),
+    "oracle-check": ("--z", "--n-list"),
+}
+often = st.integers(min_value=0, max_value=9).map(bool)  # True 9 times in 10
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_argv_ends_in_a_documented_exit_code(data):
+    # Anything but success, usage, spec, labeling or budget errors is a bug:
+    # a traceback fails the test and so does exit 6 (internal check).
+    verb = data.draw(st.sampled_from(sorted(VERB_OPTIONS) + ["nonsense"]), label="verb")
+    argv = [verb]
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(often):
+            if data.draw(st.booleans()):
+                spec = data.draw(preset_text, label="preset")
+            else:
+                spec = os.path.join(tmp, "spec.json")
+                with open(spec, "w", encoding="utf-8") as fh:
+                    json.dump(data.draw(spec_document, label="document"), fh)
+            argv += [data.draw(st.sampled_from(("--spec", "--preset"))), spec]
+        flags = VERB_OPTIONS.get(verb, ()) + ("--format",)
+        if not data.draw(often):
+            flags += (data.draw(st.sampled_from(sorted(VALUES))),)
+        for flag in flags:
+            if data.draw(often):
+                argv += [flag, data.draw(VALUES[flag], label=flag)]
+        code = _exit_code(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code)

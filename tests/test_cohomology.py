@@ -67,6 +67,33 @@ def test_phi_e7_single_label():
     assert phi(q6, spec) == lattice.canonical_point(expected)
 
 
+def test_phi_matches_fraction_alcove_point():
+    # The integer witness against the alcove point summed in Fractions.
+    from kacoh.rootdata import cartan_data, fundamental_coweight
+
+    cases = (("halfspin:D6", 2), ("sc:E7", 2), ("sc:A3xA1", 3), ("sc:G2", 3), ("sc:F4", 3))
+    for preset, n in cases:
+        spec = preset_spec(preset)
+        d = spec.diagram()
+        lattice = build_coweight_lattice(spec)
+        coweights = []
+        offset = 0
+        for typ in spec.components:
+            data = cartan_data(typ)
+            for j in range(1, typ.rank + 1):
+                cw = [F(0)] * spec.total_rank
+                cw[offset:offset + typ.rank] = fundamental_coweight(data, j)
+                coweights.append(cw)
+            offset += typ.rank
+        for p in enumerate_Kn(d, n):
+            labels = [p.labels[s] for s in d.pi_slots()]
+            point = tuple(
+                sum((l * cw[i] for l, cw in zip(labels, coweights)), F(0)) / n
+                for i in range(spec.total_rank)
+            )
+            assert phi(p, spec).coords == lattice.canonicalize(point), (preset, p)
+
+
 def test_z_from_q_e7():
     spec = preset_spec("sc:E7")
     assert z_from_q(E7("000/00/002"), 2, spec).is_trivial

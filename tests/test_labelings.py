@@ -6,7 +6,6 @@ from kacoh.diagram import build_extended_diagram, fundamental_group
 from kacoh.labelings import (
     KacLabeling,
     act_on_labeling,
-    barycenter_coweight,
     compact_labeling,
     enumerate_Kn,
     filter_for_central,
@@ -64,6 +63,14 @@ def test_k1_is_mark_one_indicators(types_rank8):
                 labels[s] = 1
                 indicators.add(tuple(labels))
         assert {p.labels for p in k1} == indicators, typ
+
+
+def test_enumeration_is_lexicographic():
+    for names in (("A3", "E6"), ("D5",), ("B3", "C2", "A2"), ("G2",), ("E7",)):
+        d = D(*names)
+        for n in range(1, 5):
+            labelings = enumerate_Kn(d, n)
+            assert labelings == sorted(labelings), (names, n)
 
 
 def test_counts_monotone_in_n():
@@ -274,10 +281,3 @@ def test_compact_labeling():
     assert q.labels[d.slot(0, 0)] == 2 and q.labels[d.slot(1, 0)] == 2
     assert sum(q.labels) == 4
 
-
-def test_barycenter_coweight():
-    d = D("A1")
-    p = KacLabeling(labels=(1, 1), n=2)
-    assert barycenter_coweight(p, d) == (F(1, 4),)
-    q = compact_labeling(d, 2)
-    assert barycenter_coweight(q, d) == (F(0),)
