@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cohomology import (
     h1_adjoint,
@@ -46,6 +45,7 @@ from .lattice import (
     check_central,
     enumerate_center,
     load_spec,
+    parse_rational,
     spec_to_document,
     trivial_central,
     validate_spec,
@@ -88,17 +88,16 @@ def _parse_z(spec: GroupSpec, text: str) -> CentralElement:
         return trivial_central(spec)
     if text.isdigit():
         center = enumerate_center(spec)
-        idx = int(text)
+        try:
+            idx = int(text)
+        except ValueError:  # a digit int() does not read, or too many digits
+            idx = len(center)
         if idx >= len(center):
             raise SpecError(
-                f"z index {idx} out of range; the center has {len(center)} elements"
+                f"z index {text} out of range; the center has {len(center)} elements"
             )
         return center[idx]
-    try:
-        values = tuple(Fraction(v) for v in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"cannot parse z selector {text!r}") from exc
-    z = CentralElement(values=values)
+    z = CentralElement(values=tuple(parse_rational(v) for v in text.split(",")))
     check_central(spec, z)
     return z
 

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .diagram import ExtendedDiagram, fundamental_group
 from .labelings import (
     KacLabeling,
     LabelingOrbit,
+    central_key,
     compact_labeling,
+    congruence_classes,
     enumerate_Kn,
     filter_for_central,
     filter_matching_q,
     format_labeling,
     labeling_weight,
     orbit_decompose,
+    residue_key,
 )
 from .lattice import (
     CentralElement,
@@ -82,8 +86,8 @@ def _witness(member: KacLabeling, q: KacLabeling, diagram: ExtendedDiagram) -> t
 def h1_inner_form(spec: GroupSpec, q: KacLabeling) -> H1Result:
     """Cohomology classes of the inner form twisted by a Kac 2-labeling.
 
-    Filter the 2-labelings to those congruent to q, decompose into orbits of
-    the coweight classes of X, and attach the cocycle vector
+    The orbits of the coweight classes of X on the 2-labelings congruent to
+    q, looked up in the spec's class table, with the cocycle vector
     (labels - q labels)/2 of each class.  The class containing q is the
     neutral one; its witness is taken at q itself, so it is exactly zero.
     """
@@ -91,9 +95,15 @@ def h1_inner_form(spec: GroupSpec, q: KacLabeling) -> H1Result:
     diagram.check_labeling(q.labels, q.n)
     if q.n != 2:
         raise LabelingError(f"twisting labelings must have n=2, got n={q.n}")
-    all2 = enumerate_Kn(diagram, 2)
-    matching = filter_matching_q(all2, spec, q, diagram)
-    orbits = orbit_decompose(matching, dual_subgroup(spec))
+    orbits = congruence_classes(
+        spec,
+        2,
+        residue_key(spec, q.labels),
+        lambda all2: orbit_decompose(
+            filter_matching_q(all2, spec, q, diagram), dual_subgroup(spec)
+        ),
+        enumerate_Kn,
+    )
     neutral = next(i for i, o in enumerate(orbits) if q in o.members)
     witnesses = tuple(
         _witness(q if i == neutral else o.representative, q, diagram)
@@ -102,7 +112,7 @@ def h1_inner_form(spec: GroupSpec, q: KacLabeling) -> H1Result:
     return H1Result(
         group_spec=spec,
         twist=q,
-        classes=tuple(orbits),
+        classes=orbits,
         witnesses=witnesses,
         neutral_index=neutral,
     )
@@ -135,15 +145,23 @@ def nth_root_classes(spec: GroupSpec, z: CentralElement, n: int) -> RootsResult:
     """Conjugacy classes of n-th roots of a central element.
 
     Orbits of the congruence-filtered n-labelings under the coweight classes
-    of X, with the torus point of each representative as witness.
+    of X, looked up in the spec's class table, with the torus point of each
+    representative as witness.
     """
     check_central(spec, z)
     diagram = spec.diagram()
     lattice = build_coweight_lattice(spec)
-    labelings = filter_for_central(enumerate_Kn(diagram, n), spec, z, diagram)
-    orbits = orbit_decompose(labelings, dual_subgroup(spec))
+    orbits = congruence_classes(
+        spec,
+        n,
+        central_key(spec, z),
+        lambda all_n: orbit_decompose(
+            filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
+        ),
+        enumerate_Kn,
+    )
     points = tuple(phi(o.representative, spec, lattice) for o in orbits)
-    return RootsResult(z=z, n=n, classes=tuple(orbits), torus_points=points)
+    return RootsResult(z=z, n=n, classes=orbits, torus_points=points)
 
 
 def real_form_table(typ: SimpleType) -> tuple:
@@ -156,8 +174,18 @@ def real_form_table(typ: SimpleType) -> tuple:
 
 
 def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """``num/den`` of an int or a Fraction."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _point_strs(point: TorusPoint) -> list:
+    """``num/den`` of each coordinate, each reduced by its own gcd."""
+    d = point.denominator
+    out = []
+    for x in point.numerators:
+        g = gcd(x, d)
+        out.append(f"{x // g}/{d // g}")
+    return out
 
 
 def _orbit_doc(orbit: LabelingOrbit, diagram: ExtendedDiagram) -> dict:
@@ -192,7 +220,7 @@ def roots_document(result: RootsResult, spec: GroupSpec) -> dict:
     classes = []
     for orbit, point in zip(result.classes, result.torus_points):
         doc = _orbit_doc(orbit, diagram)
-        doc["torus_point"] = [_frac_str(x) for x in point.coords]
+        doc["torus_point"] = _point_strs(point)
         classes.append(doc)
     return {
         "spec": spec_to_document(spec),

@@ -1,5 +1,8 @@
 """Kac n-labelings: enumeration, congruence filters, orbit decomposition.
 
+The queries look their classes up in one class table per spec: per n, the
+n-labelings and the orbits of each congruence class asked for so far.
+
 A labeling assigns a nonnegative integer to every vertex of the extended
 diagram so that on each component the mark-weighted sum equals n.  The flat
 machine order is component-major with local order 1..rank, 0; the human
@@ -26,13 +29,13 @@ from .lattice import CentralElement, GroupSpec, _frac_mod1
 from .rootdata import InternalCheckError, LabelingError, SimpleType
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class KacLabeling:
     labels: tuple
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelingOrbit:
     representative: KacLabeling
     members: tuple
@@ -107,10 +110,29 @@ def _congruence_rows(spec: GroupSpec) -> tuple:
     return m, rows
 
 
-def _congruent(labelings, spec: GroupSpec, targets) -> list:
-    """Keep labelings whose row sums are congruent mod ``m`` to ``targets``."""
+def residue_key(spec: GroupSpec, labels) -> tuple:
+    """The congruence class of a labeling: its row sums mod ``m``."""
     m, rows = spec.derived(_congruence_rows)
-    checks = tuple(zip(rows, targets))
+    return tuple(sum(c * labels[s] for s, c in row) % m for row in rows)
+
+
+def central_key(spec: GroupSpec, z: CentralElement):
+    """The congruence class of the labelings of ``z``: its values times ``m``.
+
+    ``None`` when a value has a denominator beyond ``m``, which no labeling
+    weight has.
+    """
+    m, _ = spec.derived(_congruence_rows)
+    targets = [v * m for v in z.values]
+    if any(t.denominator != 1 for t in targets):
+        return None
+    return tuple(t.numerator for t in targets)
+
+
+def _congruent(labelings, spec: GroupSpec, key) -> list:
+    """Keep labelings whose row sums are congruent mod ``m`` to ``key``."""
+    m, rows = spec.derived(_congruence_rows)
+    checks = tuple(zip(rows, key))
     return [
         p
         for p in labelings
@@ -120,19 +142,14 @@ def _congruent(labelings, spec: GroupSpec, targets) -> list:
 
 def filter_for_central(labelings, spec: GroupSpec, z: CentralElement, diagram: ExtendedDiagram) -> list:
     """Keep labelings whose generator sums match the central element's values."""
-    m, _ = spec.derived(_congruence_rows)
-    targets = [v * m for v in z.values]
-    if any(t.denominator != 1 for t in targets):
-        return []  # no labeling weight has a denominator beyond m
-    return _congruent(labelings, spec, [t.numerator for t in targets])
+    key = central_key(spec, z)
+    return [] if key is None else _congruent(labelings, spec, key)
 
 
 def filter_matching_q(labelings, spec: GroupSpec, q: KacLabeling, diagram: ExtendedDiagram) -> list:
     """Keep labelings congruent to q against every generator of X/Q."""
     diagram.check_labeling(q.labels, q.n)
-    m, rows = spec.derived(_congruence_rows)
-    targets = [sum(c * q.labels[s] for s, c in row) % m for row in rows]
-    return _congruent(labelings, spec, targets)
+    return _congruent(labelings, spec, residue_key(spec, q.labels))
 
 
 def act_on_labeling(g: FundamentalGroupElement, p: KacLabeling) -> KacLabeling:
@@ -145,34 +162,36 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
 
     The input must be closed under the action; a labeling escaping the set
     signals an inconsistency between a filter and the action and is reported
-    as an internal error rather than patched over.
+    as an internal error rather than patched over.  The action runs on the
+    label tuples, and the orbits list the input's own labelings.
     """
-    pool = {p: None for p in labelings}
-    if len(pool) != len(labelings):
+    by_labels = {p.labels: p for p in labelings}
+    if len(by_labels) != len(labelings):
         raise LabelingError("duplicate labelings in orbit input")
+    sigmas = [g.sigma for g in group.elements]
+    done = set()
     orbits = []
     for p in labelings:
-        if pool[p] is not None:
+        if p.labels in done:
             continue
-        orbit = {p}
-        frontier = [p]
+        orbit = {p.labels}
+        frontier = [p.labels]
         while frontier:
             cur = frontier.pop()
-            for g in group.elements:
-                image = act_on_labeling(g, cur)
-                if image not in pool:
+            for sigma in sigmas:
+                image = permuted_labels(sigma, cur)
+                if image not in by_labels:
                     raise InternalCheckError(
-                        f"action moved {cur.labels} to {image.labels}, "
+                        f"action moved {cur} to {image}, "
                         "which is outside the filtered set"
                     )
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
-        members = tuple(sorted(orbit))
-        if group.order % len(members):
+        if group.order % len(orbit):
             raise InternalCheckError("orbit size does not divide the group order")
-        for m in members:
-            pool[m] = members[0]
+        done |= orbit
+        members = tuple(by_labels[labels] for labels in sorted(orbit))
         orbits.append(
             LabelingOrbit(
                 representative=members[0],
@@ -182,6 +201,39 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
         )
     orbits.sort(key=lambda o: o.representative)
     return orbits
+
+
+def _class_tables(spec: GroupSpec) -> dict:
+    """Per n: the n-labelings, and their orbits by congruence class so far.
+
+    Filled in by :func:`congruence_classes`, the only code that touches it.
+    """
+    return {}
+
+
+def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) -> tuple:
+    """The orbits of the n-labelings in one congruence class, by table lookup.
+
+    ``key`` names the class: the :func:`residue_key` of its labelings, or
+    the :func:`central_key` of their central element.  The first call for
+    ``(spec, n)`` enumerates K_n with ``enumerate_all(diagram, n)``; the first
+    call for a key keeps ``classify(K_n)``, which must be the orbits of the
+    labelings in that class under the coweight classes of X.  Later calls
+    repeat none of that work.
+
+    Callers pass the layer functions they import, so that the perfbench
+    tracer, which wraps the calling module's attributes, sees each layer
+    run inside the query that ran it.
+    """
+    tables = spec.derived(_class_tables)
+    try:
+        labelings, classes = tables[n]
+    except KeyError:
+        labelings, classes = tables.setdefault(n, (enumerate_all(spec.diagram(), n), {}))
+    try:
+        return classes[key]
+    except KeyError:
+        return classes.setdefault(key, tuple(classify(labelings)))
 
 
 def compact_labeling(diagram: ExtendedDiagram, n: int = 2) -> KacLabeling:

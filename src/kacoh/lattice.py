@@ -15,6 +15,7 @@ Fraction tuples.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,9 +47,12 @@ class GroupSpec:
         """``build(self)``, built on the first call and kept with the spec.
 
         Data that depends on the spec alone (diagram, groups, the X/Q
-        closure, the coweight lattice, integer generator rows) is derived
-        through here, so repeated queries on one spec build each part once.
-        The results are shared: callers must not mutate them.
+        closure, the coweight lattice, integer generator rows, the class
+        table of :mod:`kacoh.labelings`) is derived through here, so
+        repeated queries on one spec build each part once.  The results are
+        shared: callers must not mutate them.  The one exception is the
+        class table, which fills itself in as queries arrive; only
+        :mod:`kacoh.labelings` touches it.
         """
         cache = self._derived
         try:
@@ -431,7 +435,7 @@ def spec_from_document(doc) -> GroupSpec:
     if not isinstance(raws, list) or not all(isinstance(g, list) for g in raws):
         raise SpecError(f"spec generators must be a list of lists, got {raws!r}")
     comps = [SimpleType.parse(t) for t in names]
-    gens = [tuple(_parse_rational(x) for x in raw) for raw in raws]
+    gens = [tuple(parse_rational(x) for x in raw) for raw in raws]
     return validate_spec(comps, gens)
 
 
@@ -442,15 +446,26 @@ def spec_to_document(spec: GroupSpec) -> dict:
     }
 
 
-def _parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"bad rational {x!r}") from exc
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def parse_rational(x) -> Fraction:
+    """An int, or text of an integer or ``num/den`` with an optional sign.
+
+    Anything else is a :class:`SpecError`.  Decimal points and exponents are
+    refused: ``Fraction`` would build the power of ten of ``1e-999999999``.
+    """
     if isinstance(x, int):
         return Fraction(x)
-    raise SpecError(f"bad rational {x!r} (use ints or 'num/den' strings)")
+    match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+    if match is not None:
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() converts
+            den = 0
+        if den:
+            return Fraction(num, den)
+    raise SpecError(f"bad rational {x!r} (use an integer or 'num/den')")
 
 
 def _format_rational(x) -> str:

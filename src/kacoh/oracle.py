@@ -32,7 +32,14 @@ from .exactalg import (
     mat_vec,
     reduce_mod_basis,
 )
-from .labelings import KacLabeling, filter_for_central, enumerate_Kn, orbit_decompose
+from .labelings import (
+    KacLabeling,
+    central_key,
+    congruence_classes,
+    enumerate_Kn,
+    filter_for_central,
+    orbit_decompose,
+)
 from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, spec_to_document, _frac_mod1
 from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
 
@@ -328,9 +335,17 @@ def cross_check(
             f"this run would enumerate {n ** rank} torus points"
         )
 
+    # The labeling side is the class-table lookup of nth_root_classes.
     diagram = spec.diagram()
-    labelings = filter_for_central(enumerate_Kn(diagram, n), spec, z, diagram)
-    kac_orbits = orbit_decompose(labelings, dual_subgroup(spec))
+    kac_orbits = congruence_classes(
+        spec,
+        n,
+        central_key(spec, z),
+        lambda all_n: orbit_decompose(
+            filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
+        ),
+        enumerate_Kn,
+    )
 
     lattice = build_coweight_lattice(spec)
     points = enumerate_roots_of_z(lattice, z, n)

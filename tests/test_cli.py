@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,16 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [["1/0"]]}))
     code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
     assert code == 3 and out == "" and err.count("\n") == 1 and "1/0" in err
+    # Decimal exponents are refused before any power of ten is built.
+    bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [["1e-999999999"]]}))
+    for spec_arg, z in (("sc:A1", "1e-999999999"), (str(bad_spec), "0")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "roots", "--spec", spec_arg, "--z", z, "--n", "2")
+        assert time.perf_counter() - started < 0.5
+        assert code == 3 and out == "" and err.count("\n") == 1 and "1e-999999999" in err
+    for z in ("0.5", "1/2,x", "9" * 5000):
+        code, out, err = run(capsys, "roots", "--spec", "sc:A1", "--z", z, "--n", "2")
+        assert code == 3 and out == "" and err.count("\n") == 1
     binary_spec = tmp_path / "binary.json"
     binary_spec.write_bytes(b"\xff\xfe\xfa")
     for path in (str(binary_spec), "spec\x00.json"):
