@@ -192,6 +192,11 @@ class FundamentalGroup:
     diagram: ExtendedDiagram = field(compare=False)
     elements: tuple = ()
     iso_tag: str = ""
+    # sigma -> element, for products.
+    _by_sigma: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_sigma", {e.sigma: e for e in self.elements})
 
     @property
     def order(self) -> int:
@@ -203,30 +208,30 @@ class FundamentalGroup:
     def multiply(
         self, g: FundamentalGroupElement, h: FundamentalGroupElement
     ) -> FundamentalGroupElement:
-        sigma = tuple(g.sigma[h.sigma[i]] for i in range(len(g.sigma)))
-        return self._from_sigma(sigma)
-
-    def _from_sigma(self, sigma) -> FundamentalGroupElement:
-        for e in self.elements:
-            if e.sigma == sigma:
-                return e
-        raise InternalCheckError("product escaped the stored element list")
+        try:
+            return self._by_sigma[_compose(g, h)]
+        except KeyError:
+            raise InternalCheckError("product escaped the stored element list") from None
 
     def subgroup(self, elements) -> "FundamentalGroup":
-        elems = list(elements)
+        by_sigma = {e.sigma: e for e in elements}
         ident = self.identity()
-        if ident not in elems:
-            elems.insert(0, ident)
-        for g in elems:
-            for h in elems:
-                if self.multiply(g, h) not in elems:
+        by_sigma.setdefault(ident.sigma, ident)
+        for g in by_sigma.values():
+            for h in by_sigma.values():
+                if _compose(g, h) not in by_sigma:
                     raise InternalCheckError("element set is not closed under product")
-        ordered = [e for e in self.elements if e in elems]
+        ordered = [e for e in self.elements if e.sigma in by_sigma]
         group = FundamentalGroup(
             diagram=self.diagram, elements=tuple(ordered), iso_tag=""
         )
         object.__setattr__(group, "iso_tag", _iso_tag(group))
         return group
+
+
+def _compose(g: FundamentalGroupElement, h: FundamentalGroupElement) -> tuple:
+    """The sigma of ``g * h``: first ``h``, then ``g``."""
+    return tuple(map(g.sigma.__getitem__, h.sigma))
 
 
 def _cycle_sigma(rank: int, mapping: dict) -> tuple:

@@ -1,10 +1,10 @@
-"""Exact linear algebra for small matrices over Fraction and int.
+"""Exact linear algebra over int and Fraction.
 
-Everything in this package is rational, so all routines here work with
-``fractions.Fraction`` (or plain ``int``) and never touch floating point.
+Everything in this package is rational and never touches floating point.
 Matrices are tuples of row tuples; basis lattices are handled as lists of
-column vectors.  Sizes never exceed a couple dozen, so the algorithms are
-the straightforward ones.
+column vectors.  The lattice routines (Hermite form, integer kernel,
+congruence lattice, reduction modulo a basis) run in integers; the small
+helpers accept ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def transpose(m: Sequence[Sequence]) -> Mat:
-    return tuple(zip(*m))
-
-
 def block_diag(blocks: Sequence[Sequence[Sequence]]) -> Mat:
     """Assemble square blocks into one block-diagonal matrix."""
     total = sum(len(b) for b in blocks)
@@ -50,27 +46,6 @@ def block_diag(blocks: Sequence[Sequence[Sequence]]) -> Mat:
             rows.append((0,) * offset + tuple(row) + (0,) * (total - offset - len(row)))
         offset += len(b)
     return tuple(rows)
-
-
-def invert(m: Sequence[Sequence]) -> Mat:
-    """Inverse of a square matrix, exact Gauss-Jordan over Fraction."""
-    n = len(m)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def column_style_hermite(columns: Sequence[Sequence[int]], track: bool = False):

@@ -7,9 +7,14 @@ pairings with the generating coweight classes, which is what every
 congruence condition downstream consumes).
 
 A class in P/Q is faithfully represented by its coefficient vector reduced
-into [0,1) per entry (two weights are congruent mod Q iff the vectors agree),
-so subgroup closure and canonical generators are plain set arithmetic on
-Fraction tuples.
+into [0,1) per entry (two weights are congruent mod Q iff the vectors agree).
+Scaled by ``D``, the lcm of the generator denominators, such a vector is an
+integer tuple mod ``D``, so subgroup closure and canonical generators are
+set arithmetic on integer tuples; the weight check pairs each generator,
+scaled by the lcm of its own denominators, with the integer Cartan columns.
+Fractions are built once, for what a spec stores.  Scaling by a positive
+constant keeps the lexicographic order, so the canonical generators are
+those of the Fraction vectors.
 """
 
 from __future__ import annotations
@@ -18,15 +23,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import lcm
 
 from .diagram import (
     ExtendedDiagram,
     FundamentalGroup,
-    FundamentalGroupElement,
     build_extended_diagram,
     fundamental_group,
 )
-from .exactalg import block_diag, mat_vec, transpose
 from .rootdata import SimpleType, SpecError, cartan_data
 
 PRESETS = ("sc", "ad", "halfspin", "so")
@@ -99,36 +104,53 @@ def _frac_mod1(x) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
-def _vec_mod1(vec) -> tuple:
-    return tuple(_frac_mod1(x) for x in vec)
-
-
-def _global_cartan(components) -> tuple:
-    return block_diag([cartan_data(t).cartan for t in components])
-
-
 def _build_diagram(spec: GroupSpec) -> ExtendedDiagram:
     return build_extended_diagram(spec.components)
 
 
-def _closure(vectors, rank: int) -> set:
-    zero = tuple(Fraction(0) for _ in range(rank))
-    out = {zero}
-    frontier = [zero]
-    gens = [_vec_mod1(v) for v in vectors]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in gens:
-                s = _vec_mod1(tuple(a + b for a, b in zip(base, g)))
-                if s not in out:
-                    out.add(s)
-                    nxt.append(s)
-        frontier = nxt
+def _scaled(vectors) -> tuple:
+    """``(den, rows)``: ``den`` the lcm of all denominators, each vector
+    times ``den`` as an integer tuple reduced mod ``den``."""
+    den = lcm(*(x.denominator for vec in vectors for x in vec))
+    return den, [
+        tuple([x.numerator * (den // x.denominator) % den for x in vec])
+        for vec in vectors
+    ]
+
+
+def _fractions(vectors, den) -> dict:
+    """Each integer tuple over ``den`` mapped to its Fraction tuple."""
+    frac = {a: Fraction(a, den) for a in set(chain.from_iterable(vectors))}
+    return {vec: tuple(frac[a] for a in vec) for vec in vectors}
+
+
+def _int_closure(gens, rank: int, den: int) -> set:
+    """The subgroup of ``(Z/den)^rank`` generated by ``gens``.
+
+    Adds one generator ``g`` at a time: the cosets ``H + k*g`` of the
+    subgroup ``H`` so far are new until the first that meets ``H``.
+    """
+    out = {(0,) * rank}
+    for g in gens:
+        coset = list(out)
+        while True:
+            coset = [tuple([(a + b) % den for a, b in zip(v, g)]) for v in coset]
+            if coset[0] in out:
+                break
+            out.update(coset)
     return out
 
 
-def _staircase(closure: set, rank: int):
+def _closure(vectors, rank: int) -> set:
+    """The subgroup of P/Q generated by Fraction vectors, as Fraction tuples.
+
+    For callers outside the integer layer, such as ``perfbench/freeze.py``.
+    """
+    den, gens = _scaled(vectors)
+    return set(_fractions(_int_closure(gens, rank, den), den).values())
+
+
+def _staircase(closure: set, rank: int, den: int):
     """Canonical generators with relative orders and reduction data.
 
     Greedily picks the lexicographically least element of maximal order
@@ -137,25 +159,28 @@ def _staircase(closure: set, rank: int):
     ``relative_order * generator`` in normal form over the earlier
     generators.  The homomorphism constraints these encode generate all
     relations of the group, since the normal forms already exhaust it.
+    The closure and generators are integer tuples mod ``den``.
     """
-    zero = tuple(Fraction(0) for _ in range(rank))
+    zero = (0,) * rank
     span = {zero: ()}
     stairs = []
+    ordered = sorted(closure)
     while len(span) < len(closure):
         best = None
-        for e in sorted(closure):
+        for e in ordered:
             if e in span:
                 continue
             d = 1
             cur = e
             while cur not in span:
-                cur = _vec_mod1(tuple(a + b for a, b in zip(cur, e)))
+                cur = tuple([(a + b) % den for a, b in zip(cur, e)])
                 d += 1
             if best is None or d > best[1]:
                 best = (e, d)
+                if d == len(closure) // len(span):
+                    break  # no relative order is larger
         gen, d = best
-        mult = _vec_mod1(tuple(d * x for x in gen))
-        combo = span[mult]
+        combo = span[tuple([d * x % den for x in gen])]
         stairs.append((gen, d, combo))
         idx = len(stairs) - 1
         new_span = {}
@@ -163,9 +188,35 @@ def _staircase(closure: set, rank: int):
             cur = vec
             for k in range(d):
                 new_span[cur] = coeffs + ((idx, k),) if k else coeffs
-                cur = _vec_mod1(tuple(a + b for a, b in zip(cur, gen)))
+                cur = tuple([(a + b) % den for a, b in zip(cur, gen)])
         span = new_span
     return stairs
+
+
+def _xq(generators, rank: int) -> tuple:
+    """X/Q as ``(closure, stairs)`` in Fraction tuples, computed in integers."""
+    den, gens = _scaled(generators)
+    closure = _int_closure(gens, rank, den)
+    stairs = _staircase(closure, rank, den)
+    frac = _fractions(closure, den)
+    return (
+        frozenset(frac.values()),
+        tuple((frac[gen], d, combo) for gen, d, combo in stairs),
+    )
+
+
+def _cartan_columns(components) -> list:
+    """Per simple coroot j, the pairs ``(i, cartan[i][j])`` with nonzero entry."""
+    columns = []
+    offset = 0
+    for typ in components:
+        a = cartan_data(typ).cartan
+        columns.extend(
+            tuple((offset + i, a[i][j]) for i in range(typ.rank) if a[i][j])
+            for j in range(typ.rank)
+        )
+        offset += typ.rank
+    return columns
 
 
 def validate_spec(components, xq_generators) -> GroupSpec:
@@ -176,7 +227,7 @@ def validate_spec(components, xq_generators) -> GroupSpec:
     if not comps:
         raise SpecError("empty component list")
     rank = sum(t.rank for t in comps)
-    cartan_t = transpose(_global_cartan(comps))
+    columns = _cartan_columns(comps)
     gens = []
     for raw in xq_generators:
         vec = tuple(Fraction(x) for x in raw)
@@ -184,38 +235,34 @@ def validate_spec(components, xq_generators) -> GroupSpec:
             raise SpecError(
                 f"generator has {len(vec)} coefficients, expected {rank}"
             )
-        pairings = mat_vec(cartan_t, vec)
-        for j, val in enumerate(pairings):
-            if Fraction(val).denominator != 1:
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (scale // x.denominator) for x in vec]
+        for j, column in enumerate(columns):
+            total = sum(c * ints[i] for i, c in column)
+            if total % scale:
                 raise SpecError(
                     f"generator {raw} is not a weight: pairing with coroot "
-                    f"{j + 1} is {val}"
+                    f"{j + 1} is {Fraction(total, scale)}"
                 )
         gens.append(vec)
-    closure = frozenset(_closure(gens, rank))
-    stairs = tuple(_staircase(closure, rank))
+    closure, stairs = _xq(gens, rank)
     spec = GroupSpec(components=comps, generators=tuple(g for g, _, _ in stairs))
     # The canonical generators span the same subgroup, so its closure and
     # staircase are the ones just computed.
-    spec._derived[_xq_closure] = closure
-    spec._derived[_xq_staircase] = stairs
+    spec._derived[_xq_group] = (closure, stairs)
     return spec
 
 
-def _xq_closure(spec: GroupSpec) -> frozenset:
-    return frozenset(_closure(spec.generators, spec.total_rank))
-
-
-def _xq_staircase(spec: GroupSpec) -> tuple:
-    return tuple(_staircase(spec.derived(_xq_closure), spec.total_rank))
+def _xq_group(spec: GroupSpec) -> tuple:
+    return _xq(spec.generators, spec.total_rank)
 
 
 def xq_order(spec: GroupSpec) -> int:
-    return len(spec.derived(_xq_closure))
+    return len(spec.derived(_xq_group)[0])
 
 
 def xq_elements(spec: GroupSpec) -> tuple:
-    return tuple(sorted(spec.derived(_xq_closure)))
+    return tuple(sorted(spec.derived(_xq_group)[0]))
 
 
 def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: int = 0) -> Fraction:
@@ -238,21 +285,20 @@ def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: i
     return _frac_mod1(lambda_coeffs[offset + j_slot_vertex - 1])
 
 
-def coset_pairing(gen, g: FundamentalGroupElement, diagram: ExtendedDiagram) -> Fraction:
-    """Pairing of a weight class with a full coweight-class group element."""
-    total = Fraction(0)
-    for k, tag in enumerate(g.tags):
-        total += pairing(gen, tag, diagram, component=k)
-    return _frac_mod1(total)
-
-
 def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
-    diagram = spec.diagram()
-    group = fundamental_group(diagram)
+    # A group element pairs with a generator through the generator's entries
+    # at its tags (one mark-1 vertex or 0 per component), summed mod 1; in
+    # the generators scaled by ``den`` that sum is an integer mod ``den``.
+    group = fundamental_group(spec.diagram())
+    den, gens = _scaled(spec.generators)
+    offsets = tuple(accumulate((t.rank for t in spec.components), initial=0))
     kept = [
         g
         for g in group.elements
-        if all(coset_pairing(gen, g, diagram) == 0 for gen in spec.generators)
+        if all(
+            sum(gen[off + tag - 1] for off, tag in zip(offsets, g.tags) if tag) % den == 0
+            for gen in gens
+        )
     ]
     return group.subgroup(kept)
 
@@ -268,7 +314,7 @@ def enumerate_center(spec: GroupSpec) -> tuple:
     Deterministic order: depth-first over the canonical generators with
     values increasing, so the trivial element always comes first.
     """
-    stairs = spec.derived(_xq_staircase)
+    stairs = spec.derived(_xq_group)[1]
     results = []
 
     def extend(idx, values):
@@ -294,7 +340,7 @@ def check_central(spec: GroupSpec, z: CentralElement) -> None:
             f"central element carries {len(z.values)} values, "
             f"expected {len(spec.generators)}"
         )
-    stairs = spec.derived(_xq_staircase)
+    stairs = spec.derived(_xq_group)[1]
     for (gen, d, combo), val in zip(stairs, z.values):
         target = Fraction(0)
         for k, mult in combo:
@@ -325,9 +371,10 @@ def all_intermediate_specs(components) -> tuple:
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
     )
     full = validate_spec(comps, _weight_basis(comps))
-    elements = xq_elements(full)
+    den, elements = _scaled(xq_elements(full))
+    frac = _fractions(elements, den)
     rank = full.total_rank
-    trivial = frozenset(_closure([], rank))
+    trivial = frozenset(_int_closure([], rank, den))
     found = {trivial: []}       # subgroup -> generators that close to it
     frontier = [trivial]
     while frontier:
@@ -337,13 +384,13 @@ def all_intermediate_specs(components) -> tuple:
             for e in elements:
                 if e in sub:
                     continue
-                bigger = frozenset(_closure(gens + [e], rank))
+                bigger = frozenset(_int_closure(gens + [e], rank, den))
                 if bigger not in found:
                     found[bigger] = gens + [e]
                     grown.append(bigger)
         frontier = grown
     return tuple(
-        validate_spec(comps, gens)
+        validate_spec(comps, [frac[g] for g in gens])
         for _, gens in sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     )
 
@@ -358,8 +405,7 @@ def _weight_basis(components) -> list:
         for j in range(typ.rank):
             row = inv[j]  # weight j+1 in root coordinates
             vec = [Fraction(0)] * total
-            for i, x in enumerate(row):
-                vec[offset + i] = Fraction(x)
+            vec[offset:offset + typ.rank] = row
             out.append(tuple(vec))
         offset += typ.rank
     return out

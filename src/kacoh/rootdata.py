@@ -17,16 +17,19 @@ All arithmetic is exact: entries are ints or Fractions, never floats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .exactalg import identity, invert, mat_mul, mat_vec
+from .exactalg import identity, mat_mul, mat_vec
 
 FAMILIES = "ABCDEFG"
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
+# A family letter and an ASCII rank: str.isdigit() also admits "³" and "٣".
+_TYPE_NAME = re.compile(r"([A-Ga-g])([0-9]+)")
 
 
 class SpecError(ValueError):
@@ -64,9 +67,15 @@ class SimpleType:
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in FAMILIES or not text[1:].isdigit():
+        match = _TYPE_NAME.fullmatch(text)
+        if match is not None:
+            try:
+                rank = int(match[2])
+            except ValueError:  # more digits than int() converts
+                match = None
+        if match is None:
             raise SpecError(f"cannot parse simple type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(match[1].upper(), rank)
 
     @property
     def is_alias(self) -> bool:
@@ -80,7 +89,9 @@ class CartanData:
     cartan: tuple            # rank x rank, int entries
     marks: tuple             # (m_1, ..., m_rank, m_0) with m_0 == 1
     lowest_root: tuple       # coefficients over the simple roots, all <= 0
-    inverse_cartan: tuple    # rank x rank, Fraction entries
+    det: int                 # determinant of cartan, the connection index
+    adjugate: tuple          # rank x rank, int entries: cartan @ adjugate == det * I
+    inverse_cartan: tuple    # rank x rank, Fraction entries: adjugate / det
 
     @property
     def rank(self) -> int:
@@ -146,18 +157,55 @@ def _marks(family: str, rank: int) -> tuple:
     return tuple(body) + (1,)
 
 
+def _det_adjugate(m) -> tuple:
+    """Determinant and adjugate of an integer matrix, in integers.
+
+    Fraction-free (Bareiss) elimination of ``[m | I]``: after step k, entry
+    (i, j) of each later row i is the minor of that array on rows 0..k, i
+    and columns 0..k, j, so each division is exact and the pivots are the
+    leading principal minors, the last one the determinant.  No pivoting:
+    the leading minors of a Cartan matrix are positive.  Back substitution
+    then solves ``U @ adj == det * R`` for the eliminated ``[U | R]`` row
+    by row from the bottom, again with exact divisions since the adjugate
+    is integral.
+    """
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k]
+        p = pivot[k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+        prev = p
+    det = prev
+    adj = [None] * n
+    for k in reversed(range(n)):
+        acc = [det * x for x in rows[k][n:]]
+        for j in range(k + 1, n):
+            u = rows[k][j]
+            if u:
+                acc = [a - u * b for a, b in zip(acc, adj[j])]
+        adj[k] = tuple(a // rows[k][k] for a in acc)
+    return det, tuple(adj)
+
+
 @lru_cache(maxsize=None)
 def cartan_data(typ: SimpleType) -> CartanData:
     """Cartan matrix, marks, lowest root and inverse matrix for one type."""
     cartan = _cartan_matrix(typ.family, typ.rank)
     marks = _marks(typ.family, typ.rank)
     lowest = tuple(-m for m in marks[:-1])
+    det, adj = _det_adjugate(cartan)
     return CartanData(
         type=typ,
         cartan=cartan,
         marks=marks,
         lowest_root=lowest,
-        inverse_cartan=invert(cartan),
+        det=det,
+        adjugate=adj,
+        inverse_cartan=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
     )
 
 

@@ -142,6 +142,19 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     for z in ("0.5", "1/2,x", "9" * 5000):
         code, out, err = run(capsys, "roots", "--spec", "sc:A1", "--z", z, "--n", "2")
         assert code == 3 and out == "" and err.count("\n") == 1
+    # Ranks are ASCII digits: "³" and "٣" pass str.isdigit() (int() reads
+    # the second as 3), and a rank longer than int() converts is no rank.
+    for argv in (
+        ("adjoint-h1", "--spec", "sc:A³"),
+        ("adjoint-h1", "--spec", "sc:A٣"),
+        ("adjoint-h1", "--types", "A²xA1"),
+        ("adjoint-h1", "--spec", "sc:A" + "9" * 5000),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.count("\n") == 1 and "simple type" in err
+    bad_spec.write_text(json.dumps({"components": ["A²"]}))
+    code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "simple type" in err
     binary_spec = tmp_path / "binary.json"
     binary_spec.write_bytes(b"\xff\xfe\xfa")
     for path in (str(binary_spec), "spec\x00.json"):
@@ -210,9 +223,12 @@ def mostly(usual, other):
 
 
 def _type_token(max_rank):
-    return st.builds(
-        "{}{}".format, st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=max_rank)
+    # Non-ASCII digits pass str.isdigit() but are no rank.
+    rank = mostly(
+        st.integers(min_value=0, max_value=max_rank).map(str),
+        st.sampled_from(("³", "٣", "１", "1²", "۴")),
     )
+    return st.builds("{}{}".format, st.sampled_from(FAMILIES), rank)
 
 
 # One type of rank up to 9, or a product of two small ones, or junk.
