@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg import mat_vec, vec_add
 from .rootdata import (
@@ -35,12 +36,14 @@ from .rootdata import (
 )
 
 
-def _extended_cartan(data: CartanData) -> tuple:
+@lru_cache(maxsize=None)
+def _extended_cartan(typ: SimpleType) -> tuple:
     """Pairing matrix over the vertices 1..rank, 0 (local slot order).
 
     Entry [a][b] pairs the root at slot a with the coroot at slot b; the
     extra vertex carries the lowest root.  All entries are integers.
     """
+    data = cartan_data(typ)
     rank = data.rank
     d = norms(data)
     # (alpha_i, alpha_j) = cartan[i][j] * d_j
@@ -80,7 +83,7 @@ class ExtendedDiagram:
         for typ in self.components:
             marks.extend(cartan_data(typ).marks)
         object.__setattr__(self, "marks", tuple(marks))
-        blocks = [_extended_cartan(cartan_data(t)) for t in self.components]
+        blocks = [_extended_cartan(t) for t in self.components]
         total = len(marks)
         ext = [[0] * total for _ in range(total)]
         off = 0

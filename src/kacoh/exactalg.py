@@ -137,25 +137,46 @@ def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) ->
     return column_style_hermite(heads)
 
 
-def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]], start: int = 0) -> Vec:
+def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> Vec:
     """Canonical representative of an integer vector modulo the column lattice ``basis``.
 
     ``basis`` must be lower triangular with positive diagonal (as produced by
     :func:`column_style_hermite` on a full-rank lattice).  The result has
     0 <= out[i] < basis[i][i] for every coordinate, so two vectors are
     congruent modulo the lattice iff they reduce to the same tuple.
-    Coordinates below ``start`` must already be reduced; they are left as
-    they are.
     """
     x = list(vec)
     dim = len(x)
-    for i in range(start, dim):
+    for i in range(dim):
         col = basis[i]
         q = x[i] // col[i]
         if q:
             for k in range(i, dim):
                 x[k] -= q * col[k]
     return tuple(x)
+
+
+def basis_coefficients(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> Vec | None:
+    """Integer ``d`` with ``vec == sum_j d[j] * basis[j]``, or None if there is none.
+
+    ``basis`` must be lower triangular with positive diagonal, as for
+    :func:`reduce_mod_basis`; the coefficients are solved for from the top
+    coordinate down, and a division that is not exact means ``vec`` lies
+    outside the lattice.
+    """
+    x = list(vec)
+    dim = len(x)
+    out = []
+    for i in range(dim):
+        col = basis[i]
+        q, r = divmod(x[i], col[i])
+        if r:
+            return None
+        if q:
+            for k in range(i, dim):
+                x[k] -= q * col[k]
+        out.append(q)
+    return tuple(out)
 
 
 def lcm_denominators(values) -> int:

@@ -11,8 +11,12 @@ the labeling pipeline point by point.
 The torus side runs in integers.  A torus point is an integer vector over
 one denominator (:class:`TorusPoint`); the lattice basis, the root points and
 the alcove points of labelings are reduced in the lattice's integer scaling
-by :func:`kacoh.exactalg.reduce_mod_basis`, and the reflection closure (the
-hot loop, :mod:`kacoh._orbit`) never sees a Fraction.
+by :func:`kacoh.exactalg.reduce_mod_basis`.  The reflection closure (the hot
+loop, :mod:`kacoh._orbit`) builds no torus point at all: the n-th roots are
+``zeta + sum_j c_j h_j`` over the lattice basis ``h``, indexed by their
+coefficients ``c`` mod n, and each simple reflection acts on those indices
+through integer rows the lattice computes once.  A labeling representative
+is matched by solving its alcove point for its coefficients.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from math import gcd, lcm
 
 from ._orbit import orbit_partition
 from .exactalg import (
+    basis_coefficients,
     block_diag,
     column_style_hermite,
     congruence_lattice,
@@ -40,7 +45,7 @@ from .labelings import (
     filter_for_central,
     orbit_decompose,
 )
-from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, spec_to_document, _frac_mod1
+from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, spec_to_document
 from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
 
 
@@ -107,6 +112,11 @@ class CoweightLattice:
     denominators of the inverse Cartan matrix, so every coweight has
     integer coordinates once multiplied by ``scale``.  Points are reduced in
     that scaling, times a factor where their denominators need one.
+
+    For the reflection closure it also keeps, per simple root ``alpha_i``,
+    the integer rows ``root_pairings[i][j] = <alpha_i, hnf_j / scale>`` and
+    ``coroot_coefficients[i]``, the coefficients of ``alpha_i^vee`` in the
+    basis (see :mod:`kacoh._orbit`).
     """
 
     def __init__(self, spec: GroupSpec):
@@ -115,12 +125,14 @@ class CoweightLattice:
         self.rank = rank
         blocks = [cartan_data(t) for t in spec.components]
         self.cartan = block_diag([d.cartan for d in blocks])
-        self.inverse_cartan = block_diag([d.inverse_cartan for d in blocks])
-        scale = lcm(*(x.denominator for row in self.inverse_cartan for x in row))
+        # The inverse Cartan matrix of a block is adjugate / det; its entries
+        # share the denominator det / gcd(det, adjugate entries).
+        scale = lcm(
+            *(d.det // gcd(d.det, *itertools.chain.from_iterable(d.adjugate)) for d in blocks)
+        )
         self.scale = scale
-        self.scaled_inverse = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row)
-            for row in self.inverse_cartan
+        self.scaled_inverse = block_diag(
+            [[[x * scale // d.det for x in row] for row in d.adjugate] for d in blocks]
         )
         # (label slot, scale * fundamental coweight) per simple coroot.
         self._coweights = tuple(zip(spec.diagram().pi_slots(), zip(*self.scaled_inverse)))
@@ -130,9 +142,11 @@ class CoweightLattice:
         modulus = lcm_denominators(
             x for gen in spec.generators for x in gen
         ) or 1
-        rows = [
-            [int(x * modulus) for x in gen] for gen in spec.generators
-        ]
+        rows = tuple(
+            tuple(int(x * modulus) for x in gen) for gen in spec.generators
+        )
+        self._modulus = modulus
+        self._rows = rows
         tbasis = congruence_lattice(rows, modulus, rank)
         self.coweight_basis = tuple(tbasis)  # columns, coweight coordinates
 
@@ -142,15 +156,10 @@ class CoweightLattice:
         for i, col in enumerate(hnf):
             if any(col[k] != 0 for k in range(i)) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
-        # Sandwich checks: contains all coroots, sits inside the coweights.
-        for i in range(rank):
-            e_i = tuple(scale * int(k == i) for k in range(rank))
-            if any(reduce_mod_basis(e_i, hnf)):
-                raise InternalCheckError("coroot lattice not contained in basis")
-        for col in hnf:
-            if any(x % scale for x in mat_vec(self.cartan, col)):
-                raise InternalCheckError("basis vector outside the coweights")
         self.hnf = tuple(hnf)
+        self.root_pairings, self.coroot_coefficients = _reflection_coefficients(
+            self.cartan, self.hnf, scale
+        )
 
     def _scaled_hnf(self, factor: int) -> tuple:
         """The basis at ``factor * scale``: the columns of ``factor * hnf``."""
@@ -169,6 +178,15 @@ class CoweightLattice:
     def contains(self, coords) -> bool:
         return self.canonical_point(coords).is_identity
 
+    def _alcove_vector(self, p: KacLabeling) -> list:
+        """``n * scale`` times the alcove point of ``p``, unreduced."""
+        x = [0] * self.rank
+        for slot, coweight in self._coweights:
+            label = p.labels[slot]
+            if label:
+                x = [a + label * b for a, b in zip(x, coweight)]
+        return x
+
     def alcove_point(self, p: KacLabeling) -> TorusPoint:
         """The torus point of a labeling: its alcove point modulo the lattice.
 
@@ -177,12 +195,26 @@ class CoweightLattice:
         determined by the others and do not enter.  It is built scaled by
         ``n * scale`` and reduced against ``n * hnf``.
         """
-        x = [0] * self.rank
-        for slot, coweight in self._coweights:
-            label = p.labels[slot]
-            if label:
-                x = [a + label * b for a, b in zip(x, coweight)]
+        x = self._alcove_vector(p)
         return TorusPoint(reduce_mod_basis(x, self._scaled_hnf(p.n)), p.n * self.scale)
+
+    def root_index(self, p: KacLabeling, zeta) -> int | None:
+        """Position of the alcove point of ``p`` in :func:`enumerate_roots_of_z`.
+
+        ``zeta`` is ``scale`` times the coroot coordinates of the central
+        element's :meth:`central_coweight`.  The point is a root exactly
+        when ``n * scale`` times it, minus ``zeta``, is an integer
+        combination ``sum_j d_j hnf_j``; its position is then spelled by the
+        digits ``d mod n``.  None when the point is no root.
+        """
+        diff = [x - y for x, y in zip(self._alcove_vector(p), zeta)]
+        coefficients = basis_coefficients(diff, self.hnf)
+        if coefficients is None:
+            return None
+        index = 0
+        for d in coefficients:
+            index = index * p.n + d % p.n
+        return index
 
     def index_over_coroots(self) -> int:
         covolume = 1
@@ -197,22 +229,51 @@ class CoweightLattice:
         """Integer coweight coordinates of a coweight realizing ``z``.
 
         Searched over the finitely many coweight classes modulo this
-        lattice; rejects value tuples that are not homomorphisms.
+        lattice, for the first ``t`` with ``row . t == value * modulus``
+        (mod ``modulus``) on every scaled generator row; rejects value
+        tuples that are not homomorphisms.
         """
         check_central(self.spec, z)
-        diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
-        for t in itertools.product(*(range(d) for d in diag)):
-            ok = all(
-                _frac_mod1(sum(c * ti for c, ti in zip(gen, t))) == val
-                for gen, val in zip(self.spec.generators, z.values)
-            )
-            if ok:
-                return t
+        modulus = self._modulus
+        targets = [v * modulus for v in z.values]
+        if all(x.denominator == 1 for x in targets):
+            checks = tuple(zip(self._rows, (int(x) for x in targets)))
+            diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
+            for t in itertools.product(*(range(d) for d in diag)):
+                if all(
+                    (sum(c * ti for c, ti in zip(row, t)) - target) % modulus == 0
+                    for row, target in checks
+                ):
+                    return t
         raise SpecError("central element has no representative coweight")
 
     def central_representative(self, z: CentralElement) -> tuple:
         """The coweight of :meth:`central_coweight` in coroot coordinates."""
-        return tuple(mat_vec(self.inverse_cartan, self.central_coweight(z)))
+        t = self.central_coweight(z)
+        return tuple(Fraction(x, self.scale) for x in mat_vec(self.scaled_inverse, t))
+
+
+def _reflection_coefficients(cartan, hnf, scale) -> tuple:
+    """``(w, v)`` of the reflection closure on the lattice basis ``hnf / scale``.
+
+    ``w[i][j] = <alpha_i, hnf_j> / scale`` pairs each simple root with each
+    basis vector and ``v[i]`` holds the coefficients of the coroot
+    ``alpha_i^vee`` (``scale`` times the i-th unit vector) in ``hnf``.  Both
+    are integral exactly when the lattice sits between the coroots and the
+    coweights; a division that is not exact raises InternalCheckError.
+    """
+    rank = len(cartan)
+    v = []
+    for i in range(rank):
+        coefficients = basis_coefficients([scale * int(k == i) for k in range(rank)], hnf)
+        if coefficients is None:
+            raise InternalCheckError("coroot lattice not contained in basis")
+        v.append(coefficients)
+    pairings = [mat_vec(cartan, col) for col in hnf]
+    if any(x % scale for col in pairings for x in col):
+        raise InternalCheckError("basis vector outside the coweights")
+    w = tuple(tuple(col[i] // scale for col in pairings) for i in range(rank))
+    return w, tuple(v)
 
 
 def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
@@ -227,7 +288,8 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     modulo n; there are exactly n**rank of them.  They are built in
     integers scaled by ``n * lattice.scale``, where the lattice is spanned by
     ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
-    order.
+    order: point k is ``zeta + sum_j c_j hnf_j`` for the digits ``c`` of k
+    in base n, the first column most significant.
     """
     points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
     for col in lattice.hnf:
@@ -244,45 +306,27 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     return [TorusPoint(pt, denominator) for pt in reduced]
 
 
-def _reflection_rows(lattice: CoweightLattice) -> tuple:
-    """Per simple reflection s_i, the sparse row of its coordinate i.
+def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
+    """Weyl orbits on the n-th roots of the central element of coweight ``t``.
 
-    s_i fixes every coordinate but x_i, which becomes
-    sum_j (delta_ij - a_ij) x_j over the nonzero terms of Cartan row i.
+    Closure under the simple reflections, run on the roots' lattice
+    coefficients mod n (:func:`kacoh._orbit.orbit_partition`); the group
+    itself is never enumerated.  Orbits are sorted lists of positions in
+    :func:`enumerate_roots_of_z`, ordered by their smallest member.
     """
-    return tuple(
-        tuple((j, int(i == j) - a) for j, a in enumerate(row) if a != int(i == j))
-        for i, row in enumerate(lattice.cartan)
-    )
+    reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
+    return orbit_partition(range(n ** lattice.rank), reflections, n)
 
 
-def _orbit_indices(points, lattice: CoweightLattice) -> list:
-    """Orbit partition of canonical points under the simple reflections."""
-    if not points:
-        return []
-    denominator = lcm(lattice.scale, *{p.denominator for p in points})
-    scaled_points = [
-        tuple(x * (denominator // p.denominator) for x in p.numerators) for p in points
-    ]
-    scaled_basis = lattice._scaled_hnf(denominator // lattice.scale)
-    try:
-        return orbit_partition(scaled_points, _reflection_rows(lattice), scaled_basis)
-    except KeyError as exc:
-        raise InternalCheckError(
-            "a reflection left the point set; the central element bookkeeping "
-            f"is inconsistent (missing point {exc})"
-        ) from None
+def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
+    """Orbits of the Weyl group on the n-th roots of a central element.
 
-
-def weyl_orbit_count(points, lattice: CoweightLattice) -> list:
-    """Orbits of the Weyl group on a reflection-closed set of torus points.
-
-    Closure under the simple reflections only; the group itself is never
-    enumerated.  Returns orbits as tuples of TorusPoints, ordered by first
-    appearance in the input.
+    Returns orbits as tuples of the TorusPoints of
+    :func:`enumerate_roots_of_z`, ordered by first appearance there.
     """
-    partition = _orbit_indices(points, lattice)
-    return [tuple(points[i] for i in orbit) for orbit in partition]
+    points = enumerate_roots_of_z(lattice, z, n)
+    partition = _root_orbits(lattice, lattice.central_coweight(z), n)
+    return [tuple(points[k] for k in orbit) for orbit in partition]
 
 
 @dataclass(frozen=True)
@@ -348,11 +392,12 @@ def cross_check(
     )
 
     lattice = build_coweight_lattice(spec)
-    points = enumerate_roots_of_z(lattice, z, n)
-    torus_partition = _orbit_indices(points, lattice)
-    point_to_orbit = {
-        points[pi]: oi for oi, orbit in enumerate(torus_partition) for pi in orbit
-    }
+    t = lattice.central_coweight(z)
+    torus_partition = _root_orbits(lattice, t, n)
+    orbit_of = {}
+    for oi, orbit in enumerate(torus_partition):
+        orbit_of.update(dict.fromkeys(orbit, oi))
+    zeta = mat_vec(lattice.scaled_inverse, t)
 
     kac_sizes = tuple(len(o.members) for o in kac_orbits)
     torus_sizes = tuple(len(o) for o in torus_partition)
@@ -361,13 +406,14 @@ def cross_check(
     failure = None
     used = {}
     for ci, orbit in enumerate(kac_orbits):
-        target = point_to_orbit.get(lattice.alcove_point(orbit.representative))
-        if target is None:
+        index = lattice.root_index(orbit.representative, zeta)
+        if index is None:
             failure = (
                 f"class {ci} (representative {orbit.representative.labels}) "
                 "maps outside the root set"
             )
             break
+        target = orbit_of[index]
         if target in used:
             failure = (
                 f"classes {used[target]} and {ci} both map to torus orbit "

@@ -164,22 +164,39 @@ def _det_adjugate(m) -> tuple:
     (i, j) of each later row i is the minor of that array on rows 0..k, i
     and columns 0..k, j, so each division is exact and the pivots are the
     leading principal minors, the last one the determinant.  No pivoting:
-    the leading minors of a Cartan matrix are positive.  Back substitution
-    then solves ``U @ adj == det * R`` for the eliminated ``[U | R]`` row
-    by row from the bottom, again with exact divisions since the adjugate
-    is integral.
+    the leading minors of a Cartan matrix are positive.  A row whose entry
+    in the pivot column is zero would only be multiplied by the ratio of
+    two consecutive minors, so it is left as it is and rescaled by the
+    telescoped ratio when it is next used: on a banded matrix each step
+    then touches a bounded number of rows.  Back substitution then solves
+    ``U @ adj == det * R`` for the eliminated ``[U | R]`` row by row from
+    the bottom, again with exact divisions since the adjugate is integral.
     """
     n = len(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
+    minors = [1]        # minors[k]: the leading principal minor of size k
+    level = [0] * n     # rows[i] holds row i as it stood before step level[i]
+
+    def current(i, k):
+        # Bring row i to where it stands before step k.
+        if level[i] != k:
+            ratio, base = minors[k], minors[level[i]]
+            rows[i] = [x * ratio // base for x in rows[i]]
+            level[i] = k
+
     for k in range(n):
+        current(k, k)
         pivot = rows[k]
         p = pivot[k]
+        prev = minors[k]
+        minors.append(p)
         for i in range(k + 1, n):
-            f = rows[i][k]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
-        prev = p
-    det = prev
+            if rows[i][k]:
+                current(i, k)
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+                level[i] = k + 1
+    det = minors[n]
     adj = [None] * n
     for k in reversed(range(n)):
         acc = [det * x for x in rows[k][n:]]

@@ -1,8 +1,11 @@
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from kacoh import _orbit
+from conftest import simple_types
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -96,26 +99,38 @@ def test_weyl_orbits_a1():
     spec = preset_spec("sc:A1")
     lattice = build_coweight_lattice(spec)
     trivial, nontrivial = enumerate_center(spec)
-    orbits = weyl_orbit_count(enumerate_roots_of_z(lattice, trivial, 2), lattice)
+    orbits = weyl_orbit_count(lattice, trivial, 2)
     assert sorted(len(o) for o in orbits) == [1, 1]
-    orbits = weyl_orbit_count(enumerate_roots_of_z(lattice, nontrivial, 2), lattice)
+    assert [o[0].coords for o in orbits] == [(F(0),), (F(1, 2),)]
+    orbits = weyl_orbit_count(lattice, nontrivial, 2)
     assert [len(o) for o in orbits] == [2]
 
 
 def test_weyl_orbits_adjoint_e7():
     spec = preset_spec("ad:E7")
     lattice = build_coweight_lattice(spec)
-    pts = enumerate_roots_of_z(lattice, trivial_central(spec), 2)
-    assert len(pts) == 2 ** 7
-    assert len(weyl_orbit_count(pts, lattice)) == 4
+    orbits = weyl_orbit_count(lattice, trivial_central(spec), 2)
+    assert sum(len(o) for o in orbits) == 2 ** 7
+    assert len(orbits) == 4
 
 
 def test_weyl_orbit_requires_closed_set():
-    spec = preset_spec("sc:A2")
-    lattice = build_coweight_lattice(spec)
-    pts = enumerate_roots_of_z(lattice, trivial_central(spec), 2)
-    with pytest.raises(InternalCheckError):
-        weyl_orbit_count(pts[:-1], lattice)
+    # The fiber of n-th roots is closed under the reflections only when the
+    # lattice holds every coroot and sits inside the coweights; the integer
+    # rows of the closure are exact divisions that check both.
+    from kacoh.oracle import _reflection_coefficients
+
+    lattice = build_coweight_lattice(preset_spec("sc:A2"))
+    assert lattice.root_pairings == lattice.cartan
+    assert lattice.coroot_coefficients == ((1, 0), (0, 1))
+    cartan, hnf, scale = lattice.cartan, lattice.hnf, lattice.scale
+    missing_coroot = (tuple(2 * x for x in hnf[0]), hnf[1])
+    with pytest.raises(InternalCheckError, match="coroot lattice not contained"):
+        _reflection_coefficients(cartan, missing_coroot, scale)
+    ad = build_coweight_lattice(preset_spec("ad:A2"))
+    beyond_coweights = ((1, 0), ad.hnf[1])
+    with pytest.raises(InternalCheckError, match="outside the coweights"):
+        _reflection_coefficients(ad.cartan, beyond_coweights, ad.scale)
 
 
 def test_cross_check_e7():
@@ -222,31 +237,119 @@ def _dense_partition(points, mats, lattice):
     return orbits
 
 
-def test_orbit_kernel_matches_dense_reflections():
-    # Non-simply-laced types have an asymmetric Cartan matrix, so a sparse
-    # row taken from the wrong side of it changes the partition.
-    from kacoh.oracle import _orbit_indices, _reflection_rows
+def _kernel_cases():
+    cases = [
+        (preset_spec(preset), (n,))
+        for preset, n in (
+            ("sc:B3", 3), ("sc:C3", 3), ("sc:F4", 2), ("sc:G2", 3),
+            ("halfspin:D6", 2), ("sc:A3xA1", 3),
+        )
+    ]
+    for typ in simple_types(4):
+        cases.extend((spec, (1, 2, 3)) for spec in all_intermediate_specs((typ,)))
+    a1_cubed = all_intermediate_specs(("A1", "A1", "A1"))
+    assert len(a1_cubed) == 16
+    cases.extend((spec, (1, 2, 3)) for spec in a1_cubed)
+    return cases
 
-    cases = (
-        ("sc:B3", 3), ("sc:C3", 3), ("sc:F4", 2), ("sc:G2", 3),
-        ("halfspin:D6", 2), ("sc:A3xA1", 3),
-    )
-    for preset, n in cases:
-        spec = preset_spec(preset)
+
+def test_orbit_kernel_matches_dense_reflections():
+    # The closure runs on lattice coefficients mod n; the reference applies
+    # full Fraction reflection matrices to the enumerated points and reduces
+    # the images.  Non-simply-laced types have an asymmetric Cartan matrix,
+    # so pairings taken from the wrong side of it change the partition.
+    from kacoh.oracle import _root_orbits
+
+    for spec, ns in _kernel_cases():
         lattice = build_coweight_lattice(spec)
         mats = _dense_reflections(spec)
         for z in enumerate_center(spec):
-            points = enumerate_roots_of_z(lattice, z, n)
-            expected = _dense_partition(points, mats, lattice)
-            denom = n * lattice.scale
-            scaled = [
-                tuple(x.numerator * (denom // x.denominator) for x in p.coords)
-                for p in points
-            ]
-            basis = [tuple(n * x for x in col) for col in lattice.hnf]
-            rows = _reflection_rows(lattice)
-            assert _orbit.orbit_partition(scaled, rows, basis) == expected, (preset, z)
-            assert _orbit_indices(points, lattice) == expected, (preset, z)
+            t = lattice.central_coweight(z)
+            for n in ns:
+                points = enumerate_roots_of_z(lattice, z, n)
+                expected = _dense_partition(points, mats, lattice)
+                assert _root_orbits(lattice, t, n) == expected, (spec, z, n)
+                assert weyl_orbit_count(lattice, z, n) == [
+                    tuple(points[i] for i in orbit) for orbit in expected
+                ], (spec, z, n)
+
+
+def test_root_index_locates_alcove_points():
+    # Every labeling of the class, mapped by its alcove point, lands on the
+    # position of that point in the enumerated fiber.
+    from kacoh.exactalg import mat_vec
+    from kacoh.labelings import enumerate_Kn, filter_for_central
+
+    for preset in ("sc:B3", "halfspin:D6", "so:D5", "ad:A3"):
+        spec = preset_spec(preset)
+        d = spec.diagram()
+        lattice = build_coweight_lattice(spec)
+        for z in enumerate_center(spec):
+            zeta = mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))
+            for n in (1, 2, 3):
+                points = enumerate_roots_of_z(lattice, z, n)
+                for p in filter_for_central(enumerate_Kn(d, n), spec, z, d):
+                    index = lattice.root_index(p, zeta)
+                    assert points[index] == lattice.alcove_point(p), (preset, p)
+        if len(enumerate_center(spec)) > 1:
+            # A labeling of another central element is no root of z.
+            z0, z1 = enumerate_center(spec)[:2]
+            p = filter_for_central(enumerate_Kn(d, 2), spec, z1, d)[0]
+            zeta = mat_vec(lattice.scaled_inverse, lattice.central_coweight(z0))
+            assert lattice.root_index(p, zeta) is None
+
+
+def _reference_central_coweight(lattice, z):
+    """The Fraction search that central_coweight replaced."""
+    from kacoh.lattice import _frac_mod1, check_central
+
+    check_central(lattice.spec, z)
+    diag = [int(col[i]) for i, col in enumerate(lattice.coweight_basis)]
+    for t in itertools.product(*(range(d) for d in diag)):
+        if all(
+            _frac_mod1(sum(c * ti for c, ti in zip(gen, t))) == val
+            for gen, val in zip(lattice.spec.generators, z.values)
+        ):
+            return t
+    raise SpecError("central element has no representative coweight")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return ("SpecError", str(exc))
+
+
+def test_central_coweight_matches_fraction_search(types_rank6):
+    from kacoh.exactalg import block_diag
+    from kacoh.rootdata import cartan_data
+
+    rng = random.Random(7)
+    specs = [s for typ in types_rank6 for s in all_intermediate_specs((typ,))]
+    specs += all_intermediate_specs(("A1", "A1", "A1"))
+    specs += [preset_spec(p) for p in ("sc:A3xA1", "sc:E7", "halfspin:D6", "so:D5")]
+    for spec in specs:
+        lattice = build_coweight_lattice(spec)
+        inverse = block_diag([cartan_data(t).inverse_cartan for t in spec.components])
+        scale = lattice.scale
+        assert scale == math.lcm(*(x.denominator for row in inverse for x in row))
+        assert lattice.scaled_inverse == tuple(
+            tuple(x * scale for x in row) for row in inverse
+        )
+        values = [z.values for z in enumerate_center(spec)]
+        for _ in range(3):
+            values.append(tuple(
+                F(rng.randrange(12), rng.choice((1, 2, 3, 4, 6))) for _ in spec.generators
+            ))
+        for vals in values:
+            z = CentralElement(values=vals)
+            got = _outcome(lattice.central_coweight, z)
+            assert got == _outcome(_reference_central_coweight, lattice, z), (spec, vals)
+            if got[0] != "SpecError":
+                assert lattice.central_representative(z) == tuple(
+                    sum(a * b for a, b in zip(row, got)) for row in inverse
+                )
 
 
 def test_phi_is_equivariant():
@@ -262,9 +365,8 @@ def test_phi_is_equivariant():
         sub = dual_subgroup(spec)
         for z in enumerate_center(spec):
             labelings = filter_for_central(enumerate_Kn(d, 2), spec, z, d)
-            points = enumerate_roots_of_z(lattice, z, 2)
             orbit_of = {}
-            for oi, orbit in enumerate(weyl_orbit_count(points, lattice)):
+            for oi, orbit in enumerate(weyl_orbit_count(lattice, z, 2)):
                 for pt in orbit:
                     orbit_of[pt] = oi
             for p in labelings:
