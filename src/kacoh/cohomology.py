@@ -24,7 +24,6 @@ from .labelings import (
     filter_for_central,
     filter_matching_q,
     format_labeling,
-    labeling_weight,
     orbit_decompose,
     residue_key,
 )
@@ -33,6 +32,7 @@ from .lattice import (
     GroupSpec,
     check_central,
     dual_subgroup,
+    generator_rows,
     spec_to_document,
 )
 from .oracle import CoweightLattice, TorusPoint, build_coweight_lattice
@@ -69,10 +69,8 @@ def z_from_q(q: KacLabeling, n: int, spec: GroupSpec) -> CentralElement:
     diagram.check_labeling(q.labels, n)
     if q.n != n:
         raise LabelingError(f"labeling has n={q.n}, expected {n}")
-    values = tuple(
-        labeling_weight(spec, diagram, gen, q) for gen in spec.generators
-    )
-    z = CentralElement(values=values)
+    m, _ = generator_rows(spec)
+    z = CentralElement(values=tuple(Fraction(r, m) for r in residue_key(spec, q.labels)))
     check_central(spec, z)
     return z
 

@@ -74,6 +74,8 @@ class ExtendedDiagram:
     # Derived, filled in __post_init__.
     marks: tuple = field(default=(), compare=False, repr=False)
     ext_cartan: tuple = field(default=(), compare=False, repr=False)
+    _offsets: tuple = field(default=(), compare=False, repr=False)    # first slot per component
+    _pi_slots: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.components:
@@ -94,6 +96,10 @@ class ExtendedDiagram:
                     ext[off + i][off + j] = block[i][j]
             off += k
         object.__setattr__(self, "ext_cartan", tuple(tuple(r) for r in ext))
+        offsets = tuple(itertools.accumulate((len(b) for b in blocks[:-1]), initial=0))
+        pi_slots = tuple(s for off, b in zip(offsets, blocks) for s in range(off, off + len(b) - 1))
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_pi_slots", pi_slots)
 
     @property
     def num_vertices(self) -> int:
@@ -103,17 +109,14 @@ class ExtendedDiagram:
     def total_rank(self) -> int:
         return sum(t.rank for t in self.components)
 
-    def slot_offset(self, k: int) -> int:
-        return sum(t.rank + 1 for t in self.components[:k])
-
     def slot(self, k: int, vertex: int) -> int:
         """Global slot of a local vertex (1..rank, or 0 for the extra one)."""
         rank = self.components[k].rank
         if vertex == 0:
-            return self.slot_offset(k) + rank
+            return self._offsets[k] + rank
         if not 1 <= vertex <= rank:
             raise ValueError(f"vertex {vertex} out of range for {self.components[k]}")
-        return self.slot_offset(k) + vertex - 1
+        return self._offsets[k] + vertex - 1
 
     def local(self, slot: int) -> tuple[int, int]:
         """Inverse of :meth:`slot`: global slot -> (component, local vertex)."""
@@ -127,16 +130,12 @@ class ExtendedDiagram:
         raise ValueError(f"slot {slot} out of range")
 
     def component_slots(self, k: int) -> range:
-        off = self.slot_offset(k)
+        off = self._offsets[k]
         return range(off, off + self.components[k].rank + 1)
 
     def pi_slots(self) -> tuple:
         """Slots of the non-extra vertices, in global root order."""
-        out = []
-        for k, typ in enumerate(self.components):
-            off = self.slot_offset(k)
-            out.extend(range(off, off + typ.rank))
-        return tuple(out)
+        return self._pi_slots
 
     def edges(self) -> tuple:
         """Global edges as (slot_a, slot_b, multiplicity, arrow_to) tuples.
@@ -195,11 +194,6 @@ class FundamentalGroup:
     diagram: ExtendedDiagram = field(compare=False)
     elements: tuple = ()
     iso_tag: str = ""
-    # sigma -> element, for products.
-    _by_sigma: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_sigma", {e.sigma: e for e in self.elements})
 
     @property
     def order(self) -> int:
@@ -208,33 +202,22 @@ class FundamentalGroup:
     def identity(self) -> FundamentalGroupElement:
         return self.elements[0]
 
-    def multiply(
-        self, g: FundamentalGroupElement, h: FundamentalGroupElement
-    ) -> FundamentalGroupElement:
-        try:
-            return self._by_sigma[_compose(g, h)]
-        except KeyError:
-            raise InternalCheckError("product escaped the stored element list") from None
-
     def subgroup(self, elements) -> "FundamentalGroup":
-        by_sigma = {e.sigma: e for e in elements}
-        ident = self.identity()
-        by_sigma.setdefault(ident.sigma, ident)
-        for g in by_sigma.values():
-            for h in by_sigma.values():
-                if _compose(g, h) not in by_sigma:
+        sigmas = {e.sigma for e in elements}
+        sigmas.add(self.identity().sigma)
+        for g in sigmas:
+            for h in sigmas:
+                if _compose(g, h) not in sigmas:
                     raise InternalCheckError("element set is not closed under product")
-        ordered = [e for e in self.elements if e.sigma in by_sigma]
-        group = FundamentalGroup(
-            diagram=self.diagram, elements=tuple(ordered), iso_tag=""
+        ordered = tuple(e for e in self.elements if e.sigma in sigmas)
+        return FundamentalGroup(
+            diagram=self.diagram, elements=ordered, iso_tag=_iso_tag(ordered)
         )
-        object.__setattr__(group, "iso_tag", _iso_tag(group))
-        return group
 
 
-def _compose(g: FundamentalGroupElement, h: FundamentalGroupElement) -> tuple:
-    """The sigma of ``g * h``: first ``h``, then ``g``."""
-    return tuple(map(g.sigma.__getitem__, h.sigma))
+def _compose(g: tuple, h: tuple) -> tuple:
+    """The sigma of ``g * h`` from the sigmas of ``g`` and ``h``: first ``h``, then ``g``."""
+    return tuple(map(g.__getitem__, h))
 
 
 def _cycle_sigma(rank: int, mapping: dict) -> tuple:
@@ -310,8 +293,7 @@ def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
         elements.append(
             FundamentalGroupElement(tags=tuple(tags), sigma=tuple(sigma))
         )
-    group = FundamentalGroup(diagram=diagram, elements=tuple(elements), iso_tag="")
-    object.__setattr__(group, "iso_tag", _iso_tag(group))
+    group = FundamentalGroup(diagram=diagram, elements=tuple(elements), iso_tag=_iso_tag(elements))
     # The tables must give diagram automorphisms preserving marks.
     for g in group.elements:
         for a in range(diagram.num_vertices):
@@ -328,36 +310,56 @@ def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
     return group
 
 
-def _iso_tag(group: FundamentalGroup) -> str:
-    """Invariant-factor label like '1', 'Z2', 'Z4', 'Z2xZ2'.
+def _staircase(elements, zero, add) -> list:
+    """Greedy cyclic decomposition of the finite abelian group ``elements``.
 
-    Greedy cyclic decomposition: repeatedly split off the element of largest
-    order relative to the span built so far.
+    Repeatedly picks the first element, in the order of ``elements``, of
+    maximal order relative to the span built so far.  Returns a list of
+    ``(generator, relative_order, combo)`` where ``combo`` expresses
+    ``relative_order * generator`` in normal form over the earlier
+    generators: a tuple of ``(index, multiple)`` pairs.  The homomorphism
+    constraints these encode generate all relations of the group, since the
+    normal forms already exhaust it.  ``zero`` is the neutral element and
+    ``add`` the group law; elements must be hashable.
     """
-    if group.order == 1:
-        return "1"
-    span = {group.identity()}
-    factors = []
-    while len(span) < group.order:
+    order = len(elements)
+    span = {zero: ()}
+    stairs = []
+    while len(span) < order:
         best = None
-        for e in group.elements:
+        for e in elements:
             if e in span:
                 continue
             d, cur = 1, e
             while cur not in span:
-                cur = group.multiply(cur, e)
+                cur = add(cur, e)
                 d += 1
-            if best is None or d > best[0]:
-                best = (d, e)
-        d, g = best
-        factors.append(d)
-        grown = set(span)
-        cur = g
-        for _ in range(d - 1):
-            grown |= {group.multiply(s, cur) for s in span}
-            cur = group.multiply(cur, g)
-        span = grown
-    return "x".join(f"Z{f}" for f in factors)
+            if best is None or d > best[1]:
+                best = (e, d, cur)
+                if d == order // len(span):
+                    break  # no relative order is larger
+        gen, d, multiple = best
+        stairs.append((gen, d, span[multiple]))
+        idx = len(stairs) - 1
+        new_span = {}
+        for vec, coeffs in span.items():
+            cur = vec
+            for k in range(d):
+                new_span[cur] = coeffs + ((idx, k),) if k else coeffs
+                cur = add(cur, gen)
+        span = new_span
+    return stairs
+
+
+def _iso_tag(elements) -> str:
+    """Invariant-factor label like '1', 'Z2', 'Z4', 'Z2xZ2'.
+
+    The relative orders of the :func:`_staircase` of the elements' sigmas;
+    the first element is the identity.
+    """
+    sigmas = [e.sigma for e in elements]
+    stairs = _staircase(sigmas, sigmas[0], _compose)
+    return "x".join(f"Z{d}" for _, d, _ in stairs) or "1"
 
 
 def sigma_geometric(data: CartanData, j: int) -> tuple:

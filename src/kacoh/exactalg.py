@@ -3,14 +3,14 @@
 Everything in this package is rational and never touches floating point.
 Matrices are tuples of row tuples; basis lattices are handled as lists of
 column vectors.  The lattice routines (Hermite form, integer kernel,
-congruence lattice, reduction modulo a basis) run in integers; the small
-helpers accept ints and Fractions alike.
+congruence lattice, reduction modulo a basis, basis coefficients) take and
+return integers only: callers pass data already held in integers, such as
+the X/Q generator rows of :func:`kacoh.lattice.generator_rows`, so nothing
+here scales Fractions.  The small helpers accept ints and Fractions alike.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 Vec = tuple
@@ -177,7 +177,3 @@ def basis_coefficients(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> Ve
                 x[k] -= q * col[k]
         out.append(q)
     return tuple(out)
-
-
-def lcm_denominators(values) -> int:
-    return lcm(*(Fraction(v).denominator for v in values))

@@ -15,6 +15,7 @@ the tail, so the all-zero labeling with 2 at the extra vertex is
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +25,7 @@ from .diagram import (
     FundamentalGroupElement,
     permuted_labels,
 )
-from .exactalg import lcm_denominators
-from .lattice import CentralElement, GroupSpec, _frac_mod1
+from .lattice import CentralElement, GroupSpec, _frac_mod1, generator_rows
 from .rootdata import InternalCheckError, LabelingError, SimpleType
 
 
@@ -91,21 +91,17 @@ def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeli
 
 
 def _congruence_rows(spec: GroupSpec) -> tuple:
-    """``(m, rows)``: the generators scaled to integers mod ``m``.
+    """``(m, rows)``: the generator rows mod ``m`` placed on the diagram.
 
-    ``m`` is the lcm of the generator denominators and each row lists the
-    pairs ``(slot, c * m mod m)`` with nonzero entry over the root vertices,
-    so ``labeling_weight`` times ``m`` is the row's dot product mod ``m``.
+    ``m`` and the integer generators are those of :func:`generator_rows`;
+    each row lists the pairs ``(slot, c)`` with nonzero ``c`` over the root
+    vertices, so ``labeling_weight`` times ``m`` is the row's dot product
+    mod ``m``.
     """
-    m = lcm_denominators(x for gen in spec.generators for x in gen)
+    m, gens = generator_rows(spec)
     slots = spec.diagram().pi_slots()
     rows = tuple(
-        tuple(
-            (slot, c.numerator * (m // c.denominator) % m)
-            for slot, c in zip(slots, map(Fraction, gen))
-            if c.denominator != 1
-        )
-        for gen in spec.generators
+        tuple((slot, c) for slot, c in zip(slots, gen) if c) for gen in gens
     )
     return m, rows
 
@@ -289,6 +285,11 @@ def format_labeling(diagram: ExtendedDiagram, p: KacLabeling, style: str = "disp
     return ";".join(parts)
 
 
+# Labels are ASCII digits: str.isdigit() passes "²", and int() reads "٢" as 2.
+_FLAT_LABEL = re.compile(r"\s*[+-]?[0-9]+\s*")
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def parse_labeling(diagram: ExtendedDiagram, text: str) -> KacLabeling:
     """Parse either labeling format; n is inferred from the weighted sums.
 
@@ -296,9 +297,12 @@ def parse_labeling(diagram: ExtendedDiagram, text: str) -> KacLabeling:
     """
     text = text.strip()
     if "," in text:
+        tokens = text.replace(";", ",").split(",")
+        if not all(_FLAT_LABEL.fullmatch(x) for x in tokens):
+            raise LabelingError(f"bad flat labeling {text!r}")
         try:
-            labels = tuple(int(x) for x in text.replace(";", ",").split(","))
-        except ValueError as exc:
+            labels = tuple(int(x) for x in tokens)
+        except ValueError as exc:  # more digits than int() converts
             raise LabelingError(f"bad flat labeling {text!r}") from exc
     else:
         comps = [c for c in text.replace(";", " ").split() if c]
@@ -310,7 +314,7 @@ def parse_labeling(diagram: ExtendedDiagram, text: str) -> KacLabeling:
         labels = [0] * diagram.num_vertices
         for k, (typ, comp) in enumerate(zip(diagram.components, comps)):
             digits = comp.replace("/", "")
-            if not digits.isdigit() or len(digits) != typ.rank + 1:
+            if not _DIGITS.fullmatch(digits) or len(digits) != typ.rank + 1:
                 raise LabelingError(
                     f"component {k} of {text!r} needs {typ.rank + 1} digits"
                 )

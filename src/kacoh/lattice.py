@@ -9,12 +9,15 @@ congruence condition downstream consumes).
 A class in P/Q is faithfully represented by its coefficient vector reduced
 into [0,1) per entry (two weights are congruent mod Q iff the vectors agree).
 Scaled by ``D``, the lcm of the generator denominators, such a vector is an
-integer tuple mod ``D``, so subgroup closure and canonical generators are
-set arithmetic on integer tuples; the weight check pairs each generator,
-scaled by the lcm of its own denominators, with the integer Cartan columns.
-Fractions are built once, for what a spec stores.  Scaling by a positive
-constant keeps the lexicographic order, so the canonical generators are
-those of the Fraction vectors.
+integer tuple mod ``D``, and X/Q is kept in that form alone: the closure,
+the staircase of canonical generators and the generator rows that the dual
+subgroup, the congruence filter and the coweight lattice read
+(:func:`generator_rows`) are integer tuples mod ``D``.  The weight check
+pairs each generator, scaled by the lcm of its own denominators, with the
+integer Cartan columns.  Fractions are built only for ``spec.generators``,
+:func:`xq_elements` and :func:`_closure`.  Scaling by a positive constant
+keeps the lexicographic order, so the canonical generators are those of the
+Fraction vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from math import lcm
 from .diagram import (
     ExtendedDiagram,
     FundamentalGroup,
+    _staircase,
     build_extended_diagram,
     fundamental_group,
 )
@@ -150,59 +154,19 @@ def _closure(vectors, rank: int) -> set:
     return set(_fractions(_int_closure(gens, rank, den), den).values())
 
 
-def _staircase(closure: set, rank: int, den: int):
-    """Canonical generators with relative orders and reduction data.
-
-    Greedily picks the lexicographically least element of maximal order
-    relative to the span so far.  Returns a list of
-    ``(generator, relative_order, combo)`` where ``combo`` expresses
-    ``relative_order * generator`` in normal form over the earlier
-    generators.  The homomorphism constraints these encode generate all
-    relations of the group, since the normal forms already exhaust it.
-    The closure and generators are integer tuples mod ``den``.
-    """
-    zero = (0,) * rank
-    span = {zero: ()}
-    stairs = []
-    ordered = sorted(closure)
-    while len(span) < len(closure):
-        best = None
-        for e in ordered:
-            if e in span:
-                continue
-            d = 1
-            cur = e
-            while cur not in span:
-                cur = tuple([(a + b) % den for a, b in zip(cur, e)])
-                d += 1
-            if best is None or d > best[1]:
-                best = (e, d)
-                if d == len(closure) // len(span):
-                    break  # no relative order is larger
-        gen, d = best
-        combo = span[tuple([d * x % den for x in gen])]
-        stairs.append((gen, d, combo))
-        idx = len(stairs) - 1
-        new_span = {}
-        for vec, coeffs in span.items():
-            cur = vec
-            for k in range(d):
-                new_span[cur] = coeffs + ((idx, k),) if k else coeffs
-                cur = tuple([(a + b) % den for a, b in zip(cur, gen)])
-        span = new_span
-    return stairs
-
-
 def _xq(generators, rank: int) -> tuple:
-    """X/Q as ``(closure, stairs)`` in Fraction tuples, computed in integers."""
+    """X/Q as ``(den, closure, stairs)``, integer tuples mod ``den``.
+
+    ``stairs`` is the :func:`kacoh.diagram._staircase` of the closure in
+    lexicographic order, so its generators are the canonical ones.
+    """
     den, gens = _scaled(generators)
     closure = _int_closure(gens, rank, den)
-    stairs = _staircase(closure, rank, den)
-    frac = _fractions(closure, den)
-    return (
-        frozenset(frac.values()),
-        tuple((frac[gen], d, combo) for gen, d, combo in stairs),
-    )
+
+    def add(u, v):
+        return tuple([(a + b) % den for a, b in zip(u, v)])
+
+    return den, closure, _staircase(sorted(closure), (0,) * rank, add)
 
 
 def _cartan_columns(components) -> list:
@@ -245,11 +209,13 @@ def validate_spec(components, xq_generators) -> GroupSpec:
                     f"{j + 1} is {Fraction(total, scale)}"
                 )
         gens.append(vec)
-    closure, stairs = _xq(gens, rank)
-    spec = GroupSpec(components=comps, generators=tuple(g for g, _, _ in stairs))
-    # The canonical generators span the same subgroup, so its closure and
-    # staircase are the ones just computed.
-    spec._derived[_xq_group] = (closure, stairs)
+    group = _xq(gens, rank)
+    den, _, stairs = group
+    frac = _fractions([g for g, _, _ in stairs], den)
+    spec = GroupSpec(components=comps, generators=tuple(frac[g] for g, _, _ in stairs))
+    # The canonical generators span the same subgroup with the same
+    # denominators, so its closure and staircase are the ones just computed.
+    spec._derived[_xq_group] = group
     return spec
 
 
@@ -257,12 +223,20 @@ def _xq_group(spec: GroupSpec) -> tuple:
     return _xq(spec.generators, spec.total_rank)
 
 
+def generator_rows(spec: GroupSpec) -> tuple:
+    """``(den, rows)``: the canonical generators times ``den``, the lcm of
+    their denominators, as integer tuples in ``[0, den)``."""
+    den, _, stairs = spec.derived(_xq_group)
+    return den, tuple(g for g, _, _ in stairs)
+
+
 def xq_order(spec: GroupSpec) -> int:
-    return len(spec.derived(_xq_group)[0])
+    return len(spec.derived(_xq_group)[1])
 
 
 def xq_elements(spec: GroupSpec) -> tuple:
-    return tuple(sorted(spec.derived(_xq_group)[0]))
+    den, closure, _ = spec.derived(_xq_group)
+    return tuple(_fractions(sorted(closure), den).values())
 
 
 def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: int = 0) -> Fraction:
@@ -290,7 +264,7 @@ def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
     # at its tags (one mark-1 vertex or 0 per component), summed mod 1; in
     # the generators scaled by ``den`` that sum is an integer mod ``den``.
     group = fundamental_group(spec.diagram())
-    den, gens = _scaled(spec.generators)
+    den, gens = generator_rows(spec)
     offsets = tuple(accumulate((t.rank for t in spec.components), initial=0))
     kept = [
         g
@@ -314,7 +288,7 @@ def enumerate_center(spec: GroupSpec) -> tuple:
     Deterministic order: depth-first over the canonical generators with
     values increasing, so the trivial element always comes first.
     """
-    stairs = spec.derived(_xq_group)[1]
+    stairs = spec.derived(_xq_group)[2]
     results = []
 
     def extend(idx, values):
@@ -340,12 +314,13 @@ def check_central(spec: GroupSpec, z: CentralElement) -> None:
             f"central element carries {len(z.values)} values, "
             f"expected {len(spec.generators)}"
         )
-    stairs = spec.derived(_xq_group)[1]
+    den, _, stairs = spec.derived(_xq_group)
     for (gen, d, combo), val in zip(stairs, z.values):
         target = Fraction(0)
         for k, mult in combo:
             target += mult * z.values[k]
         if _frac_mod1(d * val - target) != 0:
+            gen = tuple(Fraction(a, den) for a in gen)
             raise SpecError(
                 f"values do not respect the relation of order {d} on {gen}"
             )
@@ -371,7 +346,8 @@ def all_intermediate_specs(components) -> tuple:
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
     )
     full = validate_spec(comps, _weight_basis(comps))
-    den, elements = _scaled(xq_elements(full))
+    den, closure, _ = full.derived(_xq_group)
+    elements = sorted(closure)
     frac = _fractions(elements, den)
     rank = full.total_rank
     trivial = frozenset(_int_closure([], rank, den))
@@ -401,11 +377,10 @@ def _weight_basis(components) -> list:
     out = []
     offset = 0
     for typ in components:
-        inv = cartan_data(typ).inverse_cartan
-        for j in range(typ.rank):
-            row = inv[j]  # weight j+1 in root coordinates
+        data = cartan_data(typ)
+        for row in data.adjugate:  # row j: det times weight j+1 in root coordinates
             vec = [Fraction(0)] * total
-            vec[offset:offset + typ.rank] = row
+            vec[offset:offset + typ.rank] = [Fraction(x, data.det) for x in row]
             out.append(tuple(vec))
         offset += typ.rank
     return out
@@ -450,8 +425,8 @@ def preset_spec(text: str) -> GroupSpec:
         if typ.family == "B":
             return validate_spec(comps, [])
         if typ.family == "D":
-            inv = cartan_data(typ).inverse_cartan
-            return validate_spec(comps, [tuple(inv[0])])
+            data = cartan_data(typ)
+            return validate_spec(comps, [tuple(Fraction(x, data.det) for x in data.adjugate[0])])
         raise SpecError("so needs a single B or D component")
     raise SpecError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
 

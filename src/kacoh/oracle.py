@@ -33,7 +33,6 @@ from .exactalg import (
     block_diag,
     column_style_hermite,
     congruence_lattice,
-    lcm_denominators,
     mat_vec,
     reduce_mod_basis,
 )
@@ -45,7 +44,7 @@ from .labelings import (
     filter_for_central,
     orbit_decompose,
 )
-from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, spec_to_document
+from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, generator_rows, spec_to_document
 from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
 
 
@@ -139,15 +138,8 @@ class CoweightLattice:
 
         # {t integer : sum_j c_j t_j in Z for all generators c}, in the
         # coordinates of the coweight basis.
-        modulus = lcm_denominators(
-            x for gen in spec.generators for x in gen
-        ) or 1
-        rows = tuple(
-            tuple(int(x * modulus) for x in gen) for gen in spec.generators
-        )
-        self._modulus = modulus
-        self._rows = rows
-        tbasis = congruence_lattice(rows, modulus, rank)
+        self._modulus, self._rows = generator_rows(spec)
+        tbasis = congruence_lattice(self._rows, self._modulus, rank)
         self.coweight_basis = tuple(tbasis)  # columns, coweight coordinates
 
         hnf = column_style_hermite([mat_vec(self.scaled_inverse, t) for t in tbasis])

@@ -10,7 +10,8 @@ Conventions, fixed once and used everywhere:
   simple coroot (0-based storage of the 1-based vertices).
 * Coweight-space vectors are coordinate tuples in the simple-coroot basis,
   so the reflection in vertex i sends y to y - (cartan @ y)_i * e_i and the
-  fundamental coweights are the columns of the inverse Cartan matrix.
+  fundamental coweights are the columns of the inverse Cartan matrix, which
+  is kept as its integer adjugate over the determinant.
 
 All arithmetic is exact: entries are ints or Fractions, never floats.
 """
@@ -91,7 +92,6 @@ class CartanData:
     lowest_root: tuple       # coefficients over the simple roots, all <= 0
     det: int                 # determinant of cartan, the connection index
     adjugate: tuple          # rank x rank, int entries: cartan @ adjugate == det * I
-    inverse_cartan: tuple    # rank x rank, Fraction entries: adjugate / det
 
     @property
     def rank(self) -> int:
@@ -210,7 +210,7 @@ def _det_adjugate(m) -> tuple:
 
 @lru_cache(maxsize=None)
 def cartan_data(typ: SimpleType) -> CartanData:
-    """Cartan matrix, marks, lowest root and inverse matrix for one type."""
+    """Cartan matrix, marks, lowest root, determinant and adjugate for one type."""
     cartan = _cartan_matrix(typ.family, typ.rank)
     marks = _marks(typ.family, typ.rank)
     lowest = tuple(-m for m in marks[:-1])
@@ -222,7 +222,6 @@ def cartan_data(typ: SimpleType) -> CartanData:
         lowest_root=lowest,
         det=det,
         adjugate=adj,
-        inverse_cartan=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
     )
 
 
@@ -245,7 +244,7 @@ def fundamental_coweight(data: CartanData, j: int) -> tuple:
     """The j-th fundamental coweight in simple-coroot coordinates."""
     if not 1 <= j <= data.rank:
         raise ValueError(f"vertex {j} out of range for {data.type}")
-    return tuple(data.inverse_cartan[i][j - 1] for i in range(data.rank))
+    return tuple(Fraction(row[j - 1], data.det) for row in data.adjugate)
 
 
 def longest_element(data: CartanData, excluded: int | None = None) -> WeylElement:

@@ -162,6 +162,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert code == 3 and out == "" and err.count("\n") == 1 and "cannot read" in err
     code, _, err = run(capsys, "h1", "--spec", "sc:E7", "--q", "000/00/001")
     assert code == 4
+    # Labels are ASCII digits: int() fails on "²" and reads "٢" as 2.
+    for q in ("²0", "٢,0", "２0", "1,１"):
+        code, out, err = run(capsys, "h1", "--spec", "sc:A1", "--q", q)
+        assert code == 4 and out == "" and err.count("\n") == 1, q
     code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")
     assert code == 5
     code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", "x")
@@ -256,7 +260,8 @@ spec_document = mostly(
     ),
 )
 free_text = st.text(max_size=12)
-labeling_text = st.one_of(st.text(alphabet="0123456789/,;", max_size=12), free_text)
+# "²", "٢" and "１" pass str.isdigit() but are no label.
+labeling_text = st.one_of(st.text(alphabet="0123456789/,;²٢１", max_size=12), free_text)
 VALUES = {
     "--n": mostly(st.integers(min_value=-2, max_value=4).map(str), free_text),
     "--z": mostly(st.sampled_from(("trivial", "0", "1", "2", "1/2", "all")), free_text),

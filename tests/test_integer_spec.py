@@ -5,6 +5,7 @@ coweight pairing and Gauss-Jordan inverse that built every spec before the
 integer versions; the integer code must reproduce them exactly.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,13 +19,14 @@ from kacoh.lattice import (
     all_intermediate_specs,
     dual_subgroup,
     enumerate_center,
+    generator_rows,
     pairing,
     preset_spec,
     validate_spec,
     xq_elements,
     xq_order,
 )
-from kacoh.rootdata import SimpleType, SpecError, cartan_data
+from kacoh.rootdata import SimpleType, SpecError, cartan_data, fundamental_coweight
 
 from conftest import simple_types
 
@@ -188,7 +190,17 @@ def assert_matches_reference(spec, closure):
     rank = spec.total_rank
     stairs = ref_staircase(closure, rank)
     assert spec.generators == tuple(g for g, _, _ in stairs)
-    assert spec.derived(lattice._xq_group) == (frozenset(closure), tuple(stairs))
+    # X/Q is held as integer tuples over the lcm of the generator denominators.
+    den, int_closure, int_stairs = spec.derived(lattice._xq_group)
+    assert den == math.lcm(*(x.denominator for g in spec.generators for x in g))
+
+    def frac(vec):
+        assert all(0 <= a < den for a in vec)
+        return tuple(Fraction(a, den) for a in vec)
+
+    assert {frac(v) for v in int_closure} == closure
+    assert [(frac(g), d, combo) for g, d, combo in int_stairs] == stairs
+    assert generator_rows(spec) == (den, tuple(g for g, _, _ in int_stairs))
     assert xq_order(spec) == len(closure)
     assert xq_elements(spec) == tuple(sorted(closure))
     assert enumerate_center(spec) == ref_center(stairs)
@@ -221,6 +233,8 @@ def test_presets_match_reference(preset):
     rank = spec.total_rank
     if preset.startswith("sc:"):
         raw = ref_weight_basis(spec.components)
+    elif preset.startswith("so:"):
+        raw = [ref_invert(cartan_data(spec.components[0]).cartan)[0]]  # first weight
     else:
         raw = spec.generators
     assert_matches_reference(spec, ref_closure(raw, rank))
@@ -272,12 +286,13 @@ def test_determinant_and_adjugate(types_rank8):
         assert all(type(x) is int for row in data.adjugate for x in row)
         scaled = tuple(tuple(data.det * int(i == j) for j in range(n)) for i in range(n))
         assert mat_mul(data.cartan, data.adjugate) == scaled, typ
-        assert data.inverse_cartan == tuple(
-            tuple(Fraction(x, data.det) for x in row) for row in data.adjugate
-        )
-        assert all(type(x) is Fraction for row in data.inverse_cartan for x in row)
         if n <= 40:
-            assert data.inverse_cartan == ref_invert(data.cartan), typ
+            inverse = ref_invert(data.cartan)
+            assert data.adjugate == tuple(
+                tuple(data.det * x for x in row) for row in inverse
+            ), typ
+            for j in range(1, n + 1):
+                assert fundamental_coweight(data, j) == tuple(row[j - 1] for row in inverse)
 
 
 def test_dual_subgroup_of_many_a1_factors():
@@ -288,3 +303,46 @@ def test_dual_subgroup_of_many_a1_factors():
     assert group.iso_tag == "x".join(["Z2"] * 7)
     half = preset_spec("sc:" + "x".join(["A1"] * 7))
     assert dual_subgroup(half).order == 1
+
+
+def ref_iso_tag(group):
+    """The greedy invariant-factor loop that iso_tag ran on group elements."""
+    if group.order == 1:
+        return "1"
+    by_sigma = {e.sigma: e for e in group.elements}
+
+    def multiply(g, h):
+        return by_sigma[tuple(g.sigma[i] for i in h.sigma)]
+
+    span = {group.identity()}
+    factors = []
+    while len(span) < group.order:
+        best = None
+        for e in group.elements:
+            if e in span:
+                continue
+            d, cur = 1, e
+            while cur not in span:
+                cur = multiply(cur, e)
+                d += 1
+            if best is None or d > best[0]:
+                best = (d, e)
+        d, g = best
+        factors.append(d)
+        grown = set(span)
+        cur = g
+        for _ in range(d - 1):
+            grown |= {multiply(s, cur) for s in span}
+            cur = multiply(cur, g)
+        span = grown
+    return "x".join(f"Z{f}" for f in factors)
+
+
+def test_iso_tag_matches_reference_loop():
+    groups = [(typ,) for typ in simple_types(8)]
+    groups += [tuple(SimpleType.parse(t) for t in name.split("x")) for name in PRODUCTS]
+    specs = [spec for comps in groups for spec in all_intermediate_specs(comps)]
+    specs.append(preset_spec("ad:" + "x".join(["A1"] * 9)))
+    for spec in specs:
+        for group in (dual_subgroup(spec), fundamental_group(spec.diagram())):
+            assert group.iso_tag == ref_iso_tag(group), spec

@@ -331,7 +331,10 @@ def test_central_coweight_matches_fraction_search(types_rank6):
     specs += [preset_spec(p) for p in ("sc:A3xA1", "sc:E7", "halfspin:D6", "so:D5")]
     for spec in specs:
         lattice = build_coweight_lattice(spec)
-        inverse = block_diag([cartan_data(t).inverse_cartan for t in spec.components])
+        inverse = block_diag([
+            [[F(x, d.det) for x in row] for row in d.adjugate]
+            for d in map(cartan_data, spec.components)
+        ])
         scale = lattice.scale
         assert scale == math.lcm(*(x.denominator for row in inverse for x in row))
         assert lattice.scaled_inverse == tuple(

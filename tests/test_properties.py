@@ -47,7 +47,8 @@ def test_action_is_left_action_and_preserves_level(sd, n, data):
     p = labelings[data.draw(st.integers(0, len(labelings) - 1))]
     g = group.elements[data.draw(st.integers(0, group.order - 1))]
     h = group.elements[data.draw(st.integers(0, group.order - 1))]
-    gh = group.multiply(g, h)
+    gh_sigma = tuple(g.sigma[i] for i in h.sigma)  # first h, then g
+    gh = next(e for e in group.elements if e.sigma == gh_sigma)
     assert act_on_labeling(gh, p) == act_on_labeling(g, act_on_labeling(h, p))
     image = act_on_labeling(g, p)
     diagram.check_labeling(image.labels, n)  # stays a valid n-labeling

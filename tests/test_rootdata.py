@@ -148,14 +148,17 @@ def test_marks_relation(types_rank8):
 def test_inverse_cartan(types_rank8):
     for typ in types_rank8:
         data = cartan_data(typ)
-        assert mat_mul(data.inverse_cartan, data.cartan) == identity(typ.rank)
+        inverse = tuple(tuple(Fraction(x, data.det) for x in row) for row in data.adjugate)
+        assert mat_mul(inverse, data.cartan) == identity(typ.rank)
         # Connection index bounds the denominators.
         det = {
             "A": typ.rank + 1, "B": 2, "C": 2, "D": 4,
             "E": {6: 3, 7: 2, 8: 1}.get(typ.rank),
             "F": 1, "G": 1,
         }[typ.family]
-        for row in data.inverse_cartan:
+        for row in inverse:
             for x in row:
                 assert x >= 0
                 assert det % Fraction(x).denominator == 0, (typ, x)
+        for j in range(1, typ.rank + 1):
+            assert fundamental_coweight(data, j) == tuple(row[j - 1] for row in inverse)
