@@ -33,6 +33,8 @@ from .cohomology import (
 )
 from .diagram import render_diagram
 from .labelings import (
+    _ASCII_INT,
+    _DIGITS,
     enumerate_Kn,
     filter_for_central,
     filter_matching_q,
@@ -83,14 +85,24 @@ def _parse_types(text: str) -> tuple:
     return tuple(SimpleType.parse(t) for t in text.split("x"))
 
 
+def _int(text: str) -> int:
+    """An integer in ASCII digits, with the sign and spaces ``int()`` allows."""
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its usage errors
+
+
 def _parse_z(spec: GroupSpec, text: str) -> CentralElement:
     if text == "trivial":
         return trivial_central(spec)
-    if text.isdigit():
+    if _DIGITS.fullmatch(text):
         center = enumerate_center(spec)
         try:
             idx = int(text)
-        except ValueError:  # a digit int() does not read, or too many digits
+        except ValueError:  # more digits than int() converts
             idx = len(center)
         if idx >= len(center):
             raise SpecError(
@@ -221,7 +233,7 @@ def _cmd_forms(args) -> int:
 def _cmd_oracle_check(args) -> int:
     spec = _load_spec(args)
     try:
-        ns = [int(x) for x in args.n_list.split(",")]
+        ns = [_int(x) for x in args.n_list.split(",")]
     except ValueError:
         raise SpecError(
             f"cannot parse --n-list {args.n_list!r}; expected comma-separated integers"
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("labelings", help="enumerate Kac n-labelings")
     add_common(p)
-    p.add_argument("--n", type=int, required=True, help="labeling level n >= 1")
+    p.add_argument("--n", type=_int, required=True, help="labeling level n >= 1")
     p.add_argument("--z", help="keep only labelings for this central element")
     p.add_argument("--match-q", help="keep only labelings congruent to this one")
     p.set_defaults(func=_cmd_labelings)
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="classes of n-th roots of a central element")
     add_common(p)
     p.add_argument("--z", required=True, help="'trivial', an index, or value list")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("forms", help="inner twists of one simple type")

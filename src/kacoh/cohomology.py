@@ -17,7 +17,6 @@ from .diagram import ExtendedDiagram, fundamental_group
 from .labelings import (
     KacLabeling,
     LabelingOrbit,
-    central_key,
     compact_labeling,
     congruence_classes,
     enumerate_Kn,
@@ -30,9 +29,10 @@ from .labelings import (
 from .lattice import (
     CentralElement,
     GroupSpec,
+    _center,
     check_central,
     dual_subgroup,
-    generator_rows,
+    format_rational,
     spec_to_document,
 )
 from .oracle import CoweightLattice, TorusPoint, build_coweight_lattice
@@ -69,10 +69,7 @@ def z_from_q(q: KacLabeling, n: int, spec: GroupSpec) -> CentralElement:
     diagram.check_labeling(q.labels, n)
     if q.n != n:
         raise LabelingError(f"labeling has n={q.n}, expected {n}")
-    m, _ = generator_rows(spec)
-    z = CentralElement(values=tuple(Fraction(r, m) for r in residue_key(spec, q.labels)))
-    check_central(spec, z)
-    return z
+    return spec.derived(_center)[residue_key(spec, q.labels)]
 
 
 def _witness(member: KacLabeling, q: KacLabeling, diagram: ExtendedDiagram) -> tuple:
@@ -146,13 +143,13 @@ def nth_root_classes(spec: GroupSpec, z: CentralElement, n: int) -> RootsResult:
     of X, looked up in the spec's class table, with the torus point of each
     representative as witness.
     """
-    check_central(spec, z)
+    key = check_central(spec, z)
     diagram = spec.diagram()
     lattice = build_coweight_lattice(spec)
     orbits = congruence_classes(
         spec,
         n,
-        central_key(spec, z),
+        key,
         lambda all_n: orbit_decompose(
             filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
         ),
@@ -169,11 +166,6 @@ def real_form_table(typ: SimpleType) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Structured documents
-
-
-def _frac_str(x) -> str:
-    """``num/den`` of an int or a Fraction."""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _point_strs(point: TorusPoint) -> list:
@@ -201,7 +193,7 @@ def h1_document(result: H1Result) -> dict:
     classes = []
     for orbit, witness in zip(result.classes, result.witnesses):
         doc = _orbit_doc(orbit, diagram)
-        doc["witness"] = [_frac_str(x) for x in witness]
+        doc["witness"] = [format_rational(x) for x in witness]
         classes.append(doc)
     return {
         "spec": spec_to_document(result.group_spec),
@@ -222,7 +214,7 @@ def roots_document(result: RootsResult, spec: GroupSpec) -> dict:
         classes.append(doc)
     return {
         "spec": spec_to_document(spec),
-        "z": [_frac_str(v) for v in result.z.values],
+        "z": [format_rational(v) for v in result.z.values],
         "n": result.n,
         "class_count": len(result.classes),
         "classes": classes,

@@ -315,15 +315,11 @@ def _staircase(elements, zero, add) -> list:
 
     Repeatedly picks the first element, in the order of ``elements``, of
     maximal order relative to the span built so far.  Returns a list of
-    ``(generator, relative_order, combo)`` where ``combo`` expresses
-    ``relative_order * generator`` in normal form over the earlier
-    generators: a tuple of ``(index, multiple)`` pairs.  The homomorphism
-    constraints these encode generate all relations of the group, since the
-    normal forms already exhaust it.  ``zero`` is the neutral element and
+    ``(generator, relative_order)``.  ``zero`` is the neutral element and
     ``add`` the group law; elements must be hashable.
     """
     order = len(elements)
-    span = {zero: ()}
+    span = {zero}
     stairs = []
     while len(span) < order:
         best = None
@@ -335,19 +331,15 @@ def _staircase(elements, zero, add) -> list:
                 cur = add(cur, e)
                 d += 1
             if best is None or d > best[1]:
-                best = (e, d, cur)
+                best = (e, d)
                 if d == order // len(span):
                     break  # no relative order is larger
-        gen, d, multiple = best
-        stairs.append((gen, d, span[multiple]))
-        idx = len(stairs) - 1
-        new_span = {}
-        for vec, coeffs in span.items():
-            cur = vec
-            for k in range(d):
-                new_span[cur] = coeffs + ((idx, k),) if k else coeffs
-                cur = add(cur, gen)
-        span = new_span
+        gen, d = best
+        stairs.append(best)
+        coset = span
+        for _ in range(d - 1):
+            coset = {add(v, gen) for v in coset}
+            span |= coset
     return stairs
 
 
@@ -359,7 +351,7 @@ def _iso_tag(elements) -> str:
     """
     sigmas = [e.sigma for e in elements]
     stairs = _staircase(sigmas, sigmas[0], _compose)
-    return "x".join(f"Z{d}" for _, d, _ in stairs) or "1"
+    return "x".join(f"Z{d}" for _, d in stairs) or "1"
 
 
 def sigma_geometric(data: CartanData, j: int) -> tuple:

@@ -137,19 +137,20 @@ def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) ->
     return column_style_hermite(heads)
 
 
-def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> Vec:
-    """Canonical representative of an integer vector modulo the column lattice ``basis``.
+def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]], factor: int = 1) -> Vec:
+    """Canonical representative of an integer vector modulo the column lattice ``factor * basis``.
 
     ``basis`` must be lower triangular with positive diagonal (as produced by
-    :func:`column_style_hermite` on a full-rank lattice).  The result has
-    0 <= out[i] < basis[i][i] for every coordinate, so two vectors are
-    congruent modulo the lattice iff they reduce to the same tuple.
+    :func:`column_style_hermite` on a full-rank lattice) and ``factor``
+    positive.  The result has 0 <= out[i] < factor * basis[i][i] for every
+    coordinate, so two vectors are congruent modulo the lattice iff they
+    reduce to the same tuple.
     """
     x = list(vec)
     dim = len(x)
     for i in range(dim):
         col = basis[i]
-        q = x[i] // col[i]
+        q = x[i] // (factor * col[i]) * factor
         if q:
             for k in range(i, dim):
                 x[k] -= q * col[k]

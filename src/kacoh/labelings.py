@@ -25,7 +25,7 @@ from .diagram import (
     FundamentalGroupElement,
     permuted_labels,
 )
-from .lattice import CentralElement, GroupSpec, _frac_mod1, generator_rows
+from .lattice import CentralElement, GroupSpec, _frac_mod1, central_key, generator_rows
 from .rootdata import InternalCheckError, LabelingError, SimpleType
 
 
@@ -110,19 +110,6 @@ def residue_key(spec: GroupSpec, labels) -> tuple:
     """The congruence class of a labeling: its row sums mod ``m``."""
     m, rows = spec.derived(_congruence_rows)
     return tuple(sum(c * labels[s] for s, c in row) % m for row in rows)
-
-
-def central_key(spec: GroupSpec, z: CentralElement):
-    """The congruence class of the labelings of ``z``: its values times ``m``.
-
-    ``None`` when a value has a denominator beyond ``m``, which no labeling
-    weight has.
-    """
-    m, _ = spec.derived(_congruence_rows)
-    targets = [v * m for v in z.values]
-    if any(t.denominator != 1 for t in targets):
-        return None
-    return tuple(t.numerator for t in targets)
 
 
 def _congruent(labelings, spec: GroupSpec, key) -> list:
@@ -211,11 +198,12 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
     """The orbits of the n-labelings in one congruence class, by table lookup.
 
     ``key`` names the class: the :func:`residue_key` of its labelings, or
-    the :func:`central_key` of their central element.  The first call for
-    ``(spec, n)`` enumerates K_n with ``enumerate_all(diagram, n)``; the first
-    call for a key keeps ``classify(K_n)``, which must be the orbits of the
-    labelings in that class under the coweight classes of X.  Later calls
-    repeat none of that work.
+    the :func:`kacoh.lattice.central_key` of their central element.  The
+    first call for ``(spec, n)`` enumerates K_n with
+    ``enumerate_all(diagram, n)``; the first call for a key keeps
+    ``classify(K_n)``, which must be the orbits of the labelings in that
+    class under the coweight classes of X.  Later calls repeat none of that
+    work.
 
     Callers pass the layer functions they import, so that the perfbench
     tracer, which wraps the calling module's attributes, sees each layer
@@ -285,8 +273,9 @@ def format_labeling(diagram: ExtendedDiagram, p: KacLabeling, style: str = "disp
     return ";".join(parts)
 
 
-# Labels are ASCII digits: str.isdigit() passes "²", and int() reads "٢" as 2.
-_FLAT_LABEL = re.compile(r"\s*[+-]?[0-9]+\s*")
+# Labels and command-line integers are ASCII digits: str.isdigit() passes
+# "²", and int() reads "٢" as 2 and "1_0" as 10.
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 _DIGITS = re.compile(r"[0-9]+")
 
 
@@ -298,7 +287,7 @@ def parse_labeling(diagram: ExtendedDiagram, text: str) -> KacLabeling:
     text = text.strip()
     if "," in text:
         tokens = text.replace(";", ",").split(",")
-        if not all(_FLAT_LABEL.fullmatch(x) for x in tokens):
+        if not all(_ASCII_INT.fullmatch(x) for x in tokens):
             raise LabelingError(f"bad flat labeling {text!r}")
         try:
             labels = tuple(int(x) for x in tokens)

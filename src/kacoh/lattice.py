@@ -10,14 +10,18 @@ A class in P/Q is faithfully represented by its coefficient vector reduced
 into [0,1) per entry (two weights are congruent mod Q iff the vectors agree).
 Scaled by ``D``, the lcm of the generator denominators, such a vector is an
 integer tuple mod ``D``, and X/Q is kept in that form alone: the closure,
-the staircase of canonical generators and the generator rows that the dual
-subgroup, the congruence filter and the coweight lattice read
+the staircase of canonical generators and the generator rows
 (:func:`generator_rows`) are integer tuples mod ``D``.  The weight check
 pairs each generator, scaled by the lcm of its own denominators, with the
 integer Cartan columns.  Fractions are built only for ``spec.generators``,
-:func:`xq_elements` and :func:`_closure`.  Scaling by a positive constant
-keeps the lexicographic order, so the canonical generators are those of the
-Fraction vectors.
+:func:`xq_elements`, :func:`_closure` and the central elements.  Scaling by
+a positive constant keeps the lexicographic order, so the canonical
+generators are those of the Fraction vectors.
+
+The coweight classes pair perfectly with P/Q, and :func:`_coweight_keys`
+maps each to its key, its pairings with the generators times ``D``.  The
+dual subgroup is the classes of key zero and the center is the set of keys;
+:func:`central_key` is the one map from a central element to its key.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import lcm
 
 from .diagram import (
@@ -211,8 +215,8 @@ def validate_spec(components, xq_generators) -> GroupSpec:
         gens.append(vec)
     group = _xq(gens, rank)
     den, _, stairs = group
-    frac = _fractions([g for g, _, _ in stairs], den)
-    spec = GroupSpec(components=comps, generators=tuple(frac[g] for g, _, _ in stairs))
+    frac = _fractions([g for g, _ in stairs], den)
+    spec = GroupSpec(components=comps, generators=tuple(frac[g] for g, _ in stairs))
     # The canonical generators span the same subgroup with the same
     # denominators, so its closure and staircase are the ones just computed.
     spec._derived[_xq_group] = group
@@ -227,7 +231,7 @@ def generator_rows(spec: GroupSpec) -> tuple:
     """``(den, rows)``: the canonical generators times ``den``, the lcm of
     their denominators, as integer tuples in ``[0, den)``."""
     den, _, stairs = spec.derived(_xq_group)
-    return den, tuple(g for g, _, _ in stairs)
+    return den, tuple(g for g, _ in stairs)
 
 
 def xq_order(spec: GroupSpec) -> int:
@@ -259,22 +263,27 @@ def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: i
     return _frac_mod1(lambda_coeffs[offset + j_slot_vertex - 1])
 
 
-def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
-    # A group element pairs with a generator through the generator's entries
-    # at its tags (one mark-1 vertex or 0 per component), summed mod 1; in
-    # the generators scaled by ``den`` that sum is an integer mod ``den``.
-    group = fundamental_group(spec.diagram())
+def _coweight_keys(spec: GroupSpec) -> dict:
+    """Each coweight class modulo the coroots, named by its tags (per
+    component 0 or a mark-1 vertex), mapped to its key: the sum of each
+    :func:`generator_rows` row at the tags, mod ``den``."""
     den, gens = generator_rows(spec)
     offsets = tuple(accumulate((t.rank for t in spec.components), initial=0))
-    kept = [
-        g
-        for g in group.elements
-        if all(
-            sum(gen[off + tag - 1] for off, tag in zip(offsets, g.tags) if tag) % den == 0
-            for gen in gens
-        )
+    choices = [
+        [0] + [j for j, mark in enumerate(cartan_data(t).marks[:-1], 1) if mark == 1]
+        for t in spec.components
     ]
-    return group.subgroup(kept)
+    keys = {}
+    for tags in product(*choices):
+        slots = [off + tag - 1 for off, tag in zip(offsets, tags) if tag]
+        keys[tags] = tuple(sum(gen[s] for s in slots) % den for gen in gens)
+    return keys
+
+
+def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
+    keys = spec.derived(_coweight_keys)
+    group = fundamental_group(spec.diagram())
+    return group.subgroup([g for g in group.elements if not any(keys[g.tags])])
 
 
 def dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
@@ -282,48 +291,49 @@ def dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
     return spec.derived(_dual_subgroup)
 
 
+def _center(spec: GroupSpec) -> dict:
+    """The central elements by key, in increasing key order."""
+    den, _ = generator_rows(spec)
+    return {
+        key: CentralElement(values=tuple(Fraction(a, den) for a in key))
+        for key in sorted(set(spec.derived(_coweight_keys).values()))
+    }
+
+
 def enumerate_center(spec: GroupSpec) -> tuple:
     """All homomorphisms X/Q -> Q/Z, i.e. all central elements.
 
-    Deterministic order: depth-first over the canonical generators with
-    values increasing, so the trivial element always comes first.
+    Each is the pairing with a coweight class.  Ordered by key, that is by
+    values lexicographically, so the trivial element comes first.
     """
-    stairs = spec.derived(_xq_group)[2]
-    results = []
-
-    def extend(idx, values):
-        if idx == len(stairs):
-            results.append(CentralElement(values=tuple(values)))
-            return
-        gen, d, combo = stairs[idx]
-        target = Fraction(0)
-        for k, mult in combo:
-            target += mult * values[k]
-        base = _frac_mod1(target) / d
-        for t in range(d):
-            extend(idx + 1, values + [_frac_mod1(base + Fraction(t, d))])
-
-    extend(0, [])
-    return tuple(results)
+    return tuple(spec.derived(_center).values())
 
 
-def check_central(spec: GroupSpec, z: CentralElement) -> None:
-    """Reject value tuples that do not define a homomorphism on X/Q."""
+def central_key(spec: GroupSpec, z: CentralElement):
+    """The integer key of ``z``: its values times ``den``.
+
+    ``None`` when that is not integral or not the key of a central element.
+    """
+    den, _ = generator_rows(spec)
+    scaled = [divmod(v.numerator * den, v.denominator) for v in z.values]
+    key = tuple(k for k, _ in scaled)
+    if any(r for _, r in scaled) or key not in spec.derived(_center):
+        return None
+    return key
+
+
+def check_central(spec: GroupSpec, z: CentralElement) -> tuple:
+    """The :func:`central_key` of ``z``; rejects values that are no homomorphism on X/Q."""
     if len(z.values) != len(spec.generators):
         raise SpecError(
             f"central element carries {len(z.values)} values, "
             f"expected {len(spec.generators)}"
         )
-    den, _, stairs = spec.derived(_xq_group)
-    for (gen, d, combo), val in zip(stairs, z.values):
-        target = Fraction(0)
-        for k, mult in combo:
-            target += mult * z.values[k]
-        if _frac_mod1(d * val - target) != 0:
-            gen = tuple(Fraction(a, den) for a in gen)
-            raise SpecError(
-                f"values do not respect the relation of order {d} on {gen}"
-            )
+    key = central_key(spec, z)
+    if key is None:
+        values = ", ".join(str(v) for v in z.values)
+        raise SpecError(f"values ({values}) do not define a homomorphism on X/Q")
+    return key
 
 
 def trivial_central(spec: GroupSpec) -> CentralElement:
@@ -463,7 +473,7 @@ def spec_from_document(doc) -> GroupSpec:
 def spec_to_document(spec: GroupSpec) -> dict:
     return {
         "components": [str(t) for t in spec.components],
-        "generators": [[_format_rational(x) for x in g] for g in spec.generators],
+        "generators": [[format_rational(x) for x in g] for g in spec.generators],
     }
 
 
@@ -489,6 +499,6 @@ def parse_rational(x) -> Fraction:
     raise SpecError(f"bad rational {x!r} (use an integer or 'num/den')")
 
 
-def _format_rational(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def format_rational(x) -> str:
+    """``num/den`` of an int or a Fraction."""
+    return f"{x.numerator}/{x.denominator}"

@@ -38,13 +38,12 @@ from .exactalg import (
 )
 from .labelings import (
     KacLabeling,
-    central_key,
     congruence_classes,
     enumerate_Kn,
     filter_for_central,
     orbit_decompose,
 )
-from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, generator_rows, spec_to_document
+from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, format_rational, generator_rows, spec_to_document
 from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
 
 
@@ -153,16 +152,13 @@ class CoweightLattice:
             self.cartan, self.hnf, scale
         )
 
-    def _scaled_hnf(self, factor: int) -> tuple:
-        """The basis at ``factor * scale``: the columns of ``factor * hnf``."""
-        return tuple(tuple(factor * x for x in col) for col in self.hnf)
-
     def canonical_point(self, coords) -> TorusPoint:
         """The reduced point of rational simple-coroot coordinates."""
         denominator = lcm(self.scale, *(x.denominator for x in coords))
         scaled = [x.numerator * (denominator // x.denominator) for x in coords]
-        box = self._scaled_hnf(denominator // self.scale)
-        return TorusPoint(reduce_mod_basis(scaled, box), denominator)
+        return TorusPoint(
+            reduce_mod_basis(scaled, self.hnf, denominator // self.scale), denominator
+        )
 
     def canonicalize(self, coords) -> tuple:
         return self.canonical_point(coords).coords
@@ -188,7 +184,7 @@ class CoweightLattice:
         ``n * scale`` and reduced against ``n * hnf``.
         """
         x = self._alcove_vector(p)
-        return TorusPoint(reduce_mod_basis(x, self._scaled_hnf(p.n)), p.n * self.scale)
+        return TorusPoint(reduce_mod_basis(x, self.hnf, p.n), p.n * self.scale)
 
     def root_index(self, p: KacLabeling, zeta) -> int | None:
         """Position of the alcove point of ``p`` in :func:`enumerate_roots_of_z`.
@@ -221,22 +217,19 @@ class CoweightLattice:
         """Integer coweight coordinates of a coweight realizing ``z``.
 
         Searched over the finitely many coweight classes modulo this
-        lattice, for the first ``t`` with ``row . t == value * modulus``
-        (mod ``modulus``) on every scaled generator row; rejects value
-        tuples that are not homomorphisms.
+        lattice, for the first ``t`` whose sums ``row . t`` over the scaled
+        generator rows are, mod ``modulus``, the key that ``check_central``
+        returns for ``z``; it rejects values that are not homomorphisms.
         """
-        check_central(self.spec, z)
         modulus = self._modulus
-        targets = [v * modulus for v in z.values]
-        if all(x.denominator == 1 for x in targets):
-            checks = tuple(zip(self._rows, (int(x) for x in targets)))
-            diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
-            for t in itertools.product(*(range(d) for d in diag)):
-                if all(
-                    (sum(c * ti for c, ti in zip(row, t)) - target) % modulus == 0
-                    for row, target in checks
-                ):
-                    return t
+        checks = tuple(zip(self._rows, check_central(self.spec, z)))
+        diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
+        for t in itertools.product(*(range(d) for d in diag)):
+            if all(
+                (sum(c * ti for c, ti in zip(row, t)) - target) % modulus == 0
+                for row, target in checks
+            ):
+                return t
         raise SpecError("central element has no representative coweight")
 
     def central_representative(self, z: CentralElement) -> tuple:
@@ -290,8 +283,7 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
             for pt in points
             for c in range(n)
         ]
-    box = lattice._scaled_hnf(n)
-    reduced = [reduce_mod_basis(pt, box) for pt in points]
+    reduced = [reduce_mod_basis(pt, lattice.hnf, n) for pt in points]
     if len(set(reduced)) != len(reduced):
         raise InternalCheckError("duplicate root of the central element")
     denominator = n * lattice.scale
@@ -337,7 +329,7 @@ class CheckReport:
     def as_document(self) -> dict:
         return {
             "spec": spec_to_document(self.spec),
-            "z": [f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in self.z.values],
+            "z": [format_rational(v) for v in self.z.values],
             "n": self.n,
             "kac_class_count": self.kac_class_count,
             "torus_class_count": self.torus_class_count,
@@ -376,7 +368,7 @@ def cross_check(
     kac_orbits = congruence_classes(
         spec,
         n,
-        central_key(spec, z),
+        check_central(spec, z),
         lambda all_n: orbit_decompose(
             filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
         ),

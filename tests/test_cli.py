@@ -166,6 +166,23 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     for q in ("²0", "٢,0", "２0", "1,１"):
         code, out, err = run(capsys, "h1", "--spec", "sc:A1", "--q", q)
         assert code == 4 and out == "" and err.count("\n") == 1, q
+    # A value tuple that is no homomorphism on X/Q, and a non-ASCII index.
+    code, out, err = run(capsys, "roots", "--spec", "sc:E7", "--z", "1/3", "--n", "2")
+    assert code == 3 and out == "" and err == "error: values (1/3) do not define a homomorphism on X/Q\n"
+    code, out, err = run(capsys, "roots", "--spec", "sc:A3", "--z", "٢", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "bad rational" in err
+    # Levels are ASCII integers: int() reads "٢" as 2 and "1_0" as 10.
+    for verb, n in (("roots", "٢"), ("roots", "1_0"), ("labelings", "٢")):
+        z = ("--z", "0") if verb == "roots" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--spec", "sc:A3", *z, "--n", n])
+        assert exc.value.code == 2
+        assert f"argument --n: invalid int value: '{n}'" in capsys.readouterr().err
+    for n in ("-1", "0"):
+        code, out, err = run(capsys, "roots", "--spec", "sc:A3", "--z", "0", "--n", n)
+        assert code == 4 and out == "" and err.count("\n") == 1
+    code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--z", "trivial", "--n-list", "٢")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "--n-list" in err
     code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")
     assert code == 5
     code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", "x")

@@ -1,8 +1,9 @@
 """The spec layer in integers against the Fraction algorithms it replaced.
 
 The references below are the Fraction closure, staircase, weight check,
-coweight pairing and Gauss-Jordan inverse that built every spec before the
-integer versions; the integer code must reproduce them exactly.
+coweight pairing, center and relation check and the Gauss-Jordan inverse
+that built every spec before the integer versions; the integer code must
+reproduce them exactly.
 """
 
 import math
@@ -17,6 +18,8 @@ from kacoh.exactalg import block_diag, mat_mul, mat_vec
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
+    central_key,
+    check_central,
     dual_subgroup,
     enumerate_center,
     generator_rows,
@@ -122,6 +125,16 @@ def ref_center(stairs):
     return tuple(results)
 
 
+def ref_is_central(stairs, values):
+    """The relation check of the old ``check_central``: each value times its
+    relative order must equal the value of the relation's normal form."""
+    for (gen, d, combo), val in zip(stairs, values):
+        target = sum((mult * values[k] for k, mult in combo), Fraction(0))
+        if _mod1(d * val - target) != 0:
+            return False
+    return True
+
+
 def ref_coset_pairing(gen, g, diagram):
     total = Fraction(0)
     for k, tag in enumerate(g.tags):
@@ -199,8 +212,8 @@ def assert_matches_reference(spec, closure):
         return tuple(Fraction(a, den) for a in vec)
 
     assert {frac(v) for v in int_closure} == closure
-    assert [(frac(g), d, combo) for g, d, combo in int_stairs] == stairs
-    assert generator_rows(spec) == (den, tuple(g for g, _, _ in int_stairs))
+    assert [(frac(g), d) for g, d in int_stairs] == [(g, d) for g, d, _ in stairs]
+    assert generator_rows(spec) == (den, tuple(g for g, _ in int_stairs))
     assert xq_order(spec) == len(closure)
     assert xq_elements(spec) == tuple(sorted(closure))
     assert enumerate_center(spec) == ref_center(stairs)
@@ -210,11 +223,15 @@ def assert_matches_reference(spec, closure):
 PRODUCTS = ("A1xA1", "A3xA1", "A1xA1xA1", "C3xA1", "A2xG2xA1")
 
 
-def test_intermediate_lattices_match_reference():
+def _groups():
+    """Every simple type of rank <= 6 and the PRODUCTS, as component tuples."""
     groups = [(typ,) for typ in simple_types(6)]
-    groups += [tuple(SimpleType.parse(t) for t in name.split("x")) for name in PRODUCTS]
+    return groups + [tuple(SimpleType.parse(t) for t in name.split("x")) for name in PRODUCTS]
+
+
+def test_intermediate_lattices_match_reference():
     checked = 0
-    for comps in groups:
+    for comps in _groups():
         subgroups = ref_subgroups(comps)
         specs = all_intermediate_specs(comps)
         assert len(specs) == len(subgroups), comps
@@ -227,7 +244,9 @@ def test_intermediate_lattices_match_reference():
     assert checked == 93
 
 
-@pytest.mark.parametrize("preset", ["sc:A40", "halfspin:D20", "so:D16", "sc:E7", "sc:D12"])
+@pytest.mark.parametrize(
+    "preset", ["sc:A40", "halfspin:D20", "so:D16", "sc:E7", "sc:D12", "ad:" + "x".join(["A1"] * 9)]
+)
 def test_presets_match_reference(preset):
     spec = preset_spec(preset)
     rank = spec.total_rank
@@ -238,6 +257,49 @@ def test_presets_match_reference(preset):
     else:
         raw = spec.generators
     assert_matches_reference(spec, ref_closure(raw, rank))
+
+
+def test_check_central_matches_relation_reference():
+    # check_central reads the key off the center; the old check ran the
+    # staircase relations in Fractions.  Both must accept the same tuples.
+    rng = random.Random(11)
+    accepted = rejected = 0
+    for comps in _groups():
+        for spec in all_intermediate_specs(comps):
+            rank = spec.total_rank
+            stairs = ref_staircase(ref_closure(spec.generators, rank), rank)
+            den, _ = generator_rows(spec)
+            tuples = [z.values for z in enumerate_center(spec)]
+            tuples += [
+                tuple(
+                    Fraction(rng.randrange(-den, 3 * den), rng.choice((den, den, 2 * den, 3)))
+                    for _ in spec.generators
+                )
+                for _ in range(40)
+            ]
+            for values in tuples:
+                z = CentralElement(values=values)
+                if ref_is_central(stairs, z.values):
+                    assert check_central(spec, z) == central_key(spec, z) is not None
+                    accepted += 1
+                else:
+                    with pytest.raises(SpecError, match="do not define a homomorphism on X/Q"):
+                        check_central(spec, z)
+                    assert central_key(spec, z) is None
+                    rejected += 1
+    assert accepted > 1000 and rejected > 500
+
+
+def test_central_key_round_trips_the_center():
+    for comps in _groups():
+        for spec in all_intermediate_specs(comps):
+            den, _ = generator_rows(spec)
+            center = enumerate_center(spec)
+            keys = [central_key(spec, z) for z in center]
+            assert keys == sorted(set(keys)), spec
+            for z, key in zip(center, keys):
+                assert z == CentralElement(values=tuple(Fraction(k, den) for k in key))
+                assert check_central(spec, z) == key
 
 
 def test_weight_check_message_matches_reference():
