@@ -67,6 +67,29 @@ def _extended_cartan(typ: SimpleType) -> tuple:
     return tuple(tuple(r) for r in ext)
 
 
+def _layout(typ: SimpleType) -> list:
+    """Reading order of one component as groups of local vertex ids."""
+    r = typ.rank
+    if typ.family == "A":
+        return [list(range(1, r + 1)), [0]]
+    if typ.family == "B":
+        return [[0, 1], list(range(2, r + 1))]
+    if typ.family == "C":
+        return [list(range(r + 1))]
+    if typ.family == "D":
+        groups = [[0, 1], list(range(2, r - 1)), [r - 1, r]]
+        return [g for g in groups if g]
+    if typ.family == "E" and r == 6:
+        return [[1, 2, 3, 4, 5], [6], [0]]
+    if typ.family == "E" and r == 7:
+        return [[1, 2, 3], [4, 7], [5, 6, 0]]
+    if typ.family == "E" and r == 8:
+        return [[0, 1, 2, 3, 4], [5, 8], [6, 7]]
+    if typ.family == "F":
+        return [[0, 1, 2, 3, 4]]
+    return [[0, 2, 1]]  # G2
+
+
 @dataclass(frozen=True)
 class ExtendedDiagram:
     components: tuple
@@ -76,6 +99,8 @@ class ExtendedDiagram:
     ext_cartan: tuple = field(default=(), compare=False, repr=False)
     _offsets: tuple = field(default=(), compare=False, repr=False)    # first slot per component
     _pi_slots: tuple = field(default=(), compare=False, repr=False)
+    # Per component, the slot groups of the display format, in reading order.
+    display_slots: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.components:
@@ -100,6 +125,11 @@ class ExtendedDiagram:
         pi_slots = tuple(s for off, b in zip(offsets, blocks) for s in range(off, off + len(b) - 1))
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_pi_slots", pi_slots)
+        display = tuple(
+            tuple(tuple(self.slot(k, v) for v in group) for group in _layout(typ))
+            for k, typ in enumerate(self.components)
+        )
+        object.__setattr__(self, "display_slots", display)
 
     @property
     def num_vertices(self) -> int:

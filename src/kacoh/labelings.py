@@ -1,7 +1,8 @@
 """Kac n-labelings: enumeration, congruence filters, orbit decomposition.
 
 The queries look their classes up in one class table per spec: per n, the
-n-labelings and the orbits of each congruence class asked for so far.
+n-labelings not yet classified, bucketed by congruence class, and the orbits
+of each congruence class asked for so far.
 
 A labeling assigns a nonnegative integer to every vertex of the extended
 diagram so that on each component the mark-weighted sum equals n.  The flat
@@ -26,7 +27,7 @@ from .diagram import (
     permuted_labels,
 )
 from .lattice import CentralElement, GroupSpec, _frac_mod1, central_key, generator_rows
-from .rootdata import InternalCheckError, LabelingError, SimpleType
+from .rootdata import InternalCheckError, LabelingError
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -187,7 +188,8 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
 
 
 def _class_tables(spec: GroupSpec) -> dict:
-    """Per n: the n-labelings, and their orbits by congruence class so far.
+    """Per n: the n-labelings not yet classified, bucketed by congruence
+    class, and the orbits of each congruence class asked for so far.
 
     Filled in by :func:`congruence_classes`, the only code that touches it.
     """
@@ -200,10 +202,13 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
     ``key`` names the class: the :func:`residue_key` of its labelings, or
     the :func:`kacoh.lattice.central_key` of their central element.  The
     first call for ``(spec, n)`` enumerates K_n with
-    ``enumerate_all(diagram, n)``; the first call for a key keeps
-    ``classify(K_n)``, which must be the orbits of the labelings in that
-    class under the coweight classes of X.  Later calls repeat none of that
-    work.
+    ``enumerate_all(diagram, n)`` and splits it, in one pass, into buckets
+    by :func:`residue_key`.  The first call for a key keeps
+    ``classify(bucket)``, which must be the orbits of the bucket's
+    labelings under the coweight classes of X, and drops the bucket.  The
+    orbits must cover the bucket exactly; anything else is an internal
+    inconsistency between the caller's filter and the key.  Later calls
+    repeat none of that work.
 
     Callers pass the layer functions they import, so that the perfbench
     tracer, which wraps the calling module's attributes, sees each layer
@@ -211,13 +216,27 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
     """
     tables = spec.derived(_class_tables)
     try:
-        labelings, classes = tables[n]
+        buckets, classes = tables[n]
     except KeyError:
-        labelings, classes = tables.setdefault(n, (enumerate_all(spec.diagram(), n), {}))
+        buckets = {}
+        for p in enumerate_all(spec.diagram(), n):
+            buckets.setdefault(residue_key(spec, p.labels), []).append(p)
+        buckets, classes = tables.setdefault(n, (buckets, {}))
     try:
         return classes[key]
     except KeyError:
-        return classes.setdefault(key, tuple(classify(labelings)))
+        pass
+    bucket = buckets.get(key, [])
+    orbits = tuple(classify(bucket))
+    covered = sorted(m.labels for o in orbits for m in o.members)
+    if covered != sorted(p.labels for p in bucket):
+        raise InternalCheckError(
+            f"the orbits of class {key} at n={n} cover {len(covered)} "
+            f"labelings, not the {len(bucket)} of the class"
+        )
+    classes[key] = orbits
+    buckets.pop(key, None)
+    return orbits
 
 
 def compact_labeling(diagram: ExtendedDiagram, n: int = 2) -> KacLabeling:
@@ -232,29 +251,6 @@ def compact_labeling(diagram: ExtendedDiagram, n: int = 2) -> KacLabeling:
 # Text formats
 
 
-def _layout(typ: SimpleType) -> list:
-    """Reading order of one component as groups of local vertex ids."""
-    r = typ.rank
-    if typ.family == "A":
-        return [list(range(1, r + 1)), [0]]
-    if typ.family == "B":
-        return [[0, 1], list(range(2, r + 1))]
-    if typ.family == "C":
-        return [list(range(r + 1))]
-    if typ.family == "D":
-        groups = [[0, 1], list(range(2, r - 1)), [r - 1, r]]
-        return [g for g in groups if g]
-    if typ.family == "E" and r == 6:
-        return [[1, 2, 3, 4, 5], [6], [0]]
-    if typ.family == "E" and r == 7:
-        return [[1, 2, 3], [4, 7], [5, 6, 0]]
-    if typ.family == "E" and r == 8:
-        return [[0, 1, 2, 3, 4], [5, 8], [6, 7]]
-    if typ.family == "F":
-        return [[0, 1, 2, 3, 4]]
-    return [[0, 2, 1]]  # G2
-
-
 def format_labeling(diagram: ExtendedDiagram, p: KacLabeling, style: str = "display") -> str:
     """Render a labeling; ``display`` is the slashed digit form, ``flat`` the
     comma-separated machine form (always round-trippable)."""
@@ -262,15 +258,11 @@ def format_labeling(diagram: ExtendedDiagram, p: KacLabeling, style: str = "disp
         return ",".join(str(x) for x in p.labels)
     if style != "display":
         raise ValueError(f"unknown labeling style {style!r}")
-    parts = []
-    for k, typ in enumerate(diagram.components):
-        groups = []
-        for group in _layout(typ):
-            groups.append(
-                "".join(str(p.labels[diagram.slot(k, v)]) for v in group)
-            )
-        parts.append("/".join(groups))
-    return ";".join(parts)
+    labels = p.labels
+    return ";".join(
+        "/".join("".join(str(labels[s]) for s in group) for group in groups)
+        for groups in diagram.display_slots
+    )
 
 
 # Labels and command-line integers are ASCII digits: str.isdigit() passes
@@ -301,15 +293,15 @@ def parse_labeling(diagram: ExtendedDiagram, text: str) -> KacLabeling:
                 f"expected {len(diagram.components)}"
             )
         labels = [0] * diagram.num_vertices
-        for k, (typ, comp) in enumerate(zip(diagram.components, comps)):
+        for k, (groups, comp) in enumerate(zip(diagram.display_slots, comps)):
             digits = comp.replace("/", "")
-            if not _DIGITS.fullmatch(digits) or len(digits) != typ.rank + 1:
+            order = [s for group in groups for s in group]
+            if not _DIGITS.fullmatch(digits) or len(digits) != len(order):
                 raise LabelingError(
-                    f"component {k} of {text!r} needs {typ.rank + 1} digits"
+                    f"component {k} of {text!r} needs {len(order)} digits"
                 )
-            order = [v for group in _layout(typ) for v in group]
-            for v, ch in zip(order, digits):
-                labels[diagram.slot(k, v)] = int(ch)
+            for s, ch in zip(order, digits):
+                labels[s] = int(ch)
         labels = tuple(labels)
     if len(labels) != diagram.num_vertices:
         raise LabelingError(

@@ -37,6 +37,7 @@ from .exactalg import (
     reduce_mod_basis,
 )
 from .labelings import (
+    _ASCII_INT,
     KacLabeling,
     congruence_classes,
     enumerate_Kn,
@@ -44,7 +45,7 @@ from .labelings import (
     orbit_decompose,
 )
 from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, format_rational, generator_rows, spec_to_document
-from .rootdata import BudgetError, InternalCheckError, SpecError, cartan_data
+from .rootdata import BudgetError, InternalCheckError, cartan_data
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,11 @@ def _env_int(name: str, default: int) -> int:
     if text is None:
         return default
     try:
-        return int(text)
-    except ValueError:
-        raise BudgetError(f"{name} must be an integer, got {text!r}") from None
+        if _ASCII_INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise BudgetError(f"{name} must be an integer, got {text!r}")
 
 
 class CoweightLattice:
@@ -230,7 +233,7 @@ class CoweightLattice:
                 for row, target in checks
             ):
                 return t
-        raise SpecError("central element has no representative coweight")
+        raise InternalCheckError("central element has no representative coweight")
 
     def central_representative(self, z: CentralElement) -> tuple:
         """The coweight of :meth:`central_coweight` in coroot coordinates."""

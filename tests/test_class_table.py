@@ -129,6 +129,35 @@ def test_labelings_enumerated_once_per_spec_and_n(monkeypatch):
         assert enumerated == [2, 3], preset
 
 
+def test_one_pass_over_Kn_per_table(monkeypatch):
+    """Each query filters its own class's labelings only, not all of K_n."""
+    received = []
+    real_filter = cohomology.filter_for_central
+
+    def counting_filter(labelings, spec, z, diagram):
+        received.append(len(labelings))
+        return real_filter(labelings, spec, z, diagram)
+
+    monkeypatch.setattr(cohomology, "filter_for_central", counting_filter)
+    spec = _cold(preset_spec("sc:A11"))
+    center = enumerate_center(spec)
+    for z in center:
+        nth_root_classes(spec, z, 3)
+    assert len(received) == len(center) == 12
+    assert sum(received) <= len(enumerate_Kn(spec.diagram(), 3))
+
+
+def test_coverage_check_fires(monkeypatch):
+    """A filter that drops a labeling of the class is an internal error."""
+    real_filter = cohomology.filter_for_central
+    monkeypatch.setattr(
+        cohomology, "filter_for_central", lambda *args: real_filter(*args)[1:]
+    )
+    spec = _cold(preset_spec("sc:A11"))
+    with pytest.raises(InternalCheckError, match="cover"):
+        nth_root_classes(spec, enumerate_center(spec)[0], 3)
+
+
 @pytest.mark.parametrize(
     "query",
     [

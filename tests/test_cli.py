@@ -187,11 +187,13 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 5
     code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", "x")
     assert code == 3 and out == "" and err.count("\n") == 1 and "--n-list" in err
+    # Budgets are ASCII integers: int() reads "1_0" as 10 and "٣" as 3.
     for name in ("KACOH_ORACLE_MAX_RANK", "KACOH_ORACLE_MAX_N"):
-        with monkeypatch.context() as m:
-            m.setenv(name, "abc")
-            code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1")
-        assert code == 5 and out == "" and err.count("\n") == 1 and name in err
+        for value in ("abc", "1_0", "٣"):
+            with monkeypatch.context() as m:
+                m.setenv(name, value)
+                code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1")
+            assert code == 5 and out == "" and err.count("\n") == 1 and name in err, value
     with pytest.raises(SystemExit) as exc:
         main(["h1", "--spec", "sc:E7"])  # missing --q: usage error
     assert exc.value.code == 2

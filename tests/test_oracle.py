@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import simple_types
+from kacoh import oracle
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -93,6 +94,17 @@ def test_inconsistent_central_rejected():
     lattice = build_coweight_lattice(spec)
     with pytest.raises(SpecError):
         lattice.central_representative(CentralElement(values=(F(1, 3),)))
+
+
+def test_unmatched_central_key_is_internal(monkeypatch):
+    # The key (0, 1) is no key of the center: the second generator of X/Q
+    # has order 2, so its row sums are 0 or 2 mod 4.  Reaching the end of
+    # the search is an internal inconsistency, not a bad spec.
+    spec = preset_spec("sc:A3xA1")
+    lattice = build_coweight_lattice(spec)
+    monkeypatch.setattr(oracle, "check_central", lambda s, z: (0, 1))
+    with pytest.raises(InternalCheckError, match="no representative coweight"):
+        lattice.central_coweight(trivial_central(spec))
 
 
 def test_weyl_orbits_a1():
