@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter, sub
 
 from .diagram import ExtendedDiagram, fundamental_group
 from .labelings import (
@@ -44,7 +45,7 @@ class H1Result:
     group_spec: GroupSpec
     twist: KacLabeling
     classes: tuple            # LabelingOrbit, ...
-    witnesses: tuple          # per class, Fractions over the root vertices
+    witnesses: tuple          # per class, Fractions (halves) over the root vertices
     neutral_index: int
 
 
@@ -72,10 +73,25 @@ def z_from_q(q: KacLabeling, n: int, spec: GroupSpec) -> CentralElement:
     return spec.derived(_center)[residue_key(spec, q.labels)]
 
 
-def _witness(member: KacLabeling, q: KacLabeling, diagram: ExtendedDiagram) -> tuple:
-    return tuple(
-        Fraction(member.labels[s] - q.labels[s], 2) for s in diagram.pi_slots()
-    )
+# A witness entry is half the difference of two labels of 2-labelings, so it
+# is one of five values; each is built once, with its document text.
+_HALVES = {d: Fraction(d, 2) for d in range(-2, 3)}
+_HALF_TEXTS = {d: format_rational(x) for d, x in _HALVES.items()}
+
+
+def _label_differences(q: KacLabeling, orbits, neutral: int, diagram: ExtendedDiagram) -> list:
+    """Per class, its labels minus the twist's over the root vertices.
+
+    Taken at the representative, and for the neutral class at the twist
+    itself, so that class's differences are all zero.
+    """
+    slots = diagram.pi_slots()
+    pick = itemgetter(*slots) if len(slots) > 1 else lambda labels: (labels[slots[0]],)
+    base = pick(q.labels)
+    return [
+        tuple(map(sub, pick((q if i == neutral else o.representative).labels), base))
+        for i, o in enumerate(orbits)
+    ]
 
 
 def h1_inner_form(spec: GroupSpec, q: KacLabeling) -> H1Result:
@@ -101,8 +117,8 @@ def h1_inner_form(spec: GroupSpec, q: KacLabeling) -> H1Result:
     )
     neutral = next(i for i, o in enumerate(orbits) if q in o.members)
     witnesses = tuple(
-        _witness(q if i == neutral else o.representative, q, diagram)
-        for i, o in enumerate(orbits)
+        tuple(map(_HALVES.__getitem__, d))
+        for d in _label_differences(q, orbits, neutral, diagram)
     )
     return H1Result(
         group_spec=spec,
@@ -179,25 +195,35 @@ def _point_strs(point: TorusPoint) -> list:
 
 
 def _orbit_doc(orbit: LabelingOrbit, diagram: ExtendedDiagram) -> dict:
+    """The document of one class; label lists are the labelings' own tuples."""
     return {
-        "representative": list(orbit.representative.labels),
+        "representative": orbit.representative.labels,
         "representative_display": format_labeling(diagram, orbit.representative),
-        "members": [list(m.labels) for m in orbit.members],
+        "members": [m.labels for m in orbit.members],
         "size": len(orbit.members),
         "stabilizer_order": orbit.stabilizer_order,
     }
 
 
 def h1_document(result: H1Result) -> dict:
+    """The document of an H^1 result.
+
+    Each witness entry is written from its integer label difference through
+    the texts of the five halves, so it reads as the entry of
+    ``result.witnesses``.
+    """
     diagram = result.group_spec.diagram()
+    differences = _label_differences(
+        result.twist, result.classes, result.neutral_index, diagram
+    )
     classes = []
-    for orbit, witness in zip(result.classes, result.witnesses):
+    for orbit, d in zip(result.classes, differences):
         doc = _orbit_doc(orbit, diagram)
-        doc["witness"] = [format_rational(x) for x in witness]
+        doc["witness"] = list(map(_HALF_TEXTS.__getitem__, d))
         classes.append(doc)
     return {
         "spec": spec_to_document(result.group_spec),
-        "twist": list(result.twist.labels),
+        "twist": result.twist.labels,
         "twist_display": format_labeling(diagram, result.twist),
         "class_count": len(result.classes),
         "neutral_index": result.neutral_index,

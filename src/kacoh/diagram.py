@@ -19,9 +19,11 @@ the tables or a convention bug in the geometry.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .exactalg import mat_vec, vec_add
 from .rootdata import (
@@ -41,29 +43,27 @@ def _extended_cartan(typ: SimpleType) -> tuple:
     """Pairing matrix over the vertices 1..rank, 0 (local slot order).
 
     Entry [a][b] pairs the root at slot a with the coroot at slot b; the
-    extra vertex carries the lowest root.  All entries are integers.
+    extra vertex carries the lowest root.  All entries are integers, and so
+    is the arithmetic: the norms are scaled by the lcm of their
+    denominators, which cancels from every ratio below.
     """
     data = cartan_data(typ)
     rank = data.rank
     d = norms(data)
-    # (alpha_i, alpha_j) = cartan[i][j] * d_j
-    bil = [[data.cartan[i][j] * d[j] for j in range(rank)] for i in range(rank)]
-    low = data.lowest_root
-    low_i = [sum(low[k] * bil[i][k] for k in range(rank)) for i in range(rank)]
-    low_low = sum(low[i] * low_j for i, low_j in zip(range(rank), (
-        sum(low[k] * bil[i][k] for k in range(rank)) for i in range(rank)
-    )))
-    ext = [[0] * (rank + 1) for _ in range(rank + 1)]
+    scale = lcm(*(x.denominator for x in d))
+    d = [x.numerator * (scale // x.denominator) for x in d]
+    # low_i[i] = (alpha_i, alpha_0), with (alpha_i, alpha_j) = cartan[i][j] * d_j
+    low_d = [c * dk for c, dk in zip(data.lowest_root, d)]
+    low_i = [sum(a * low_d[k] for k, a in enumerate(row) if a) for row in data.cartan]
+    low_low = sum(c * x for c, x in zip(data.lowest_root, low_i))
+    ext = [list(row) + [0] for row in data.cartan] + [[0] * rank + [2]]
     for i in range(rank):
-        for j in range(rank):
-            ext[i][j] = data.cartan[i][j]
-        col = 2 * low_i[i] / low_low          # <alpha_i, alpha_0^vee>
-        row = 2 * low_i[i] / (2 * d[i])       # <alpha_0, alpha_i^vee>
-        if col.denominator != 1 or row.denominator != 1:
+        col, col_rem = divmod(2 * low_i[i], low_low)    # <alpha_i, alpha_0^vee>
+        row, row_rem = divmod(low_i[i], d[i])           # <alpha_0, alpha_i^vee>
+        if col_rem or row_rem:
             raise InternalCheckError(f"non-integral extended pairing for {data.type}")
-        ext[i][rank] = int(col)
-        ext[rank][i] = int(row)
-    ext[rank][rank] = 2
+        ext[i][rank] = col
+        ext[rank][i] = row
     return tuple(tuple(r) for r in ext)
 
 
@@ -101,6 +101,9 @@ class ExtendedDiagram:
     _pi_slots: tuple = field(default=(), compare=False, repr=False)
     # Per component, the slot groups of the display format, in reading order.
     display_slots: tuple = field(default=(), compare=False, repr=False)
+    # The display format as ``display_template % display_getter(labels)``.
+    display_template: str = field(default="", compare=False, repr=False)
+    display_getter: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.components:
@@ -130,6 +133,12 @@ class ExtendedDiagram:
             for k, typ in enumerate(self.components)
         )
         object.__setattr__(self, "display_slots", display)
+        object.__setattr__(self, "display_template", ";".join(
+            "/".join("%d" * len(group) for group in groups) for groups in display
+        ))
+        object.__setattr__(self, "display_getter", operator.itemgetter(
+            *(s for groups in display for group in groups for s in group)
+        ))
 
     @property
     def num_vertices(self) -> int:
@@ -232,6 +241,21 @@ class FundamentalGroup:
     def identity(self) -> FundamentalGroupElement:
         return self.elements[0]
 
+    @cached_property
+    def label_actions(self) -> tuple:
+        """Per element, an ``itemgetter`` over the inverse of its sigma.
+
+        Applied to a label tuple it returns :func:`permuted_labels` of the
+        element's sigma on it; built on first use.
+        """
+        actions = []
+        for e in self.elements:
+            inverse = [0] * len(e.sigma)
+            for i, image in enumerate(e.sigma):
+                inverse[image] = i
+            actions.append(operator.itemgetter(*inverse))
+        return tuple(actions)
+
     def subgroup(self, elements) -> "FundamentalGroup":
         sigmas = {e.sigma for e in elements}
         sigmas.add(self.identity().sigma)
@@ -323,21 +347,21 @@ def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
         elements.append(
             FundamentalGroupElement(tags=tuple(tags), sigma=tuple(sigma))
         )
-    group = FundamentalGroup(diagram=diagram, elements=tuple(elements), iso_tag=_iso_tag(elements))
-    # The tables must give diagram automorphisms preserving marks.
-    for g in group.elements:
-        for a in range(diagram.num_vertices):
-            if diagram.marks[g.sigma[a]] != diagram.marks[a]:
-                raise InternalCheckError(f"{typ}: action does not preserve marks")
-            for b in range(diagram.num_vertices):
-                if (
-                    diagram.ext_cartan[g.sigma[a]][g.sigma[b]]
-                    != diagram.ext_cartan[a][b]
-                ):
-                    raise InternalCheckError(
-                        f"tabulated action is not a diagram automorphism"
-                    )
-    return group
+    # The tables must give diagram automorphisms preserving marks, checked
+    # before the group law is run on them.  A bijection that keeps every
+    # nonzero pairing keeps the zeros too, so after the bijection check the
+    # nonzero entries are the only ones compared.
+    ext = diagram.ext_cartan
+    nonzero = [(a, b, x) for a, row in enumerate(ext) for b, x in enumerate(row) if x]
+    for g in elements:
+        sigma = g.sigma
+        if any(diagram.marks[s] != m for s, m in zip(sigma, diagram.marks)):
+            raise InternalCheckError(f"{typ}: action does not preserve marks")
+        if len(set(sigma)) != len(sigma) or any(
+            ext[sigma[a]][sigma[b]] != x for a, b, x in nonzero
+        ):
+            raise InternalCheckError("tabulated action is not a diagram automorphism")
+    return FundamentalGroup(diagram=diagram, elements=tuple(elements), iso_tag=_iso_tag(elements))
 
 
 def _staircase(elements, zero, add) -> list:

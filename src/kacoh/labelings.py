@@ -147,12 +147,13 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
     The input must be closed under the action; a labeling escaping the set
     signals an inconsistency between a filter and the action and is reported
     as an internal error rather than patched over.  The action runs on the
-    label tuples, and the orbits list the input's own labelings.
+    label tuples through the group's ``label_actions``, and the orbits list
+    the input's own labelings.
     """
     by_labels = {p.labels: p for p in labelings}
     if len(by_labels) != len(labelings):
         raise LabelingError("duplicate labelings in orbit input")
-    sigmas = [g.sigma for g in group.elements]
+    actions = group.label_actions
     done = set()
     orbits = []
     for p in labelings:
@@ -162,8 +163,8 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
         frontier = [p.labels]
         while frontier:
             cur = frontier.pop()
-            for sigma in sigmas:
-                image = permuted_labels(sigma, cur)
+            for act in actions:
+                image = act(cur)
                 if image not in by_labels:
                     raise InternalCheckError(
                         f"action moved {cur} to {image}, "
@@ -258,11 +259,7 @@ def format_labeling(diagram: ExtendedDiagram, p: KacLabeling, style: str = "disp
         return ",".join(str(x) for x in p.labels)
     if style != "display":
         raise ValueError(f"unknown labeling style {style!r}")
-    labels = p.labels
-    return ";".join(
-        "/".join("".join(str(labels[s]) for s in group) for group in groups)
-        for groups in diagram.display_slots
-    )
+    return diagram.display_template % diagram.display_getter(p.labels)
 
 
 # Labels and command-line integers are ASCII digits: str.isdigit() passes

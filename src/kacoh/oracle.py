@@ -219,13 +219,20 @@ class CoweightLattice:
     def central_coweight(self, z: CentralElement) -> tuple:
         """Integer coweight coordinates of a coweight realizing ``z``.
 
+        The :meth:`key_coweight` of the key that ``check_central`` returns
+        for ``z``; it rejects values that are not homomorphisms.
+        """
+        return self.key_coweight(check_central(self.spec, z))
+
+    def key_coweight(self, key: tuple) -> tuple:
+        """Integer coweight coordinates of a coweight of central key ``key``.
+
         Searched over the finitely many coweight classes modulo this
         lattice, for the first ``t`` whose sums ``row . t`` over the scaled
-        generator rows are, mod ``modulus``, the key that ``check_central``
-        returns for ``z``; it rejects values that are not homomorphisms.
+        generator rows are ``key`` mod ``modulus``.
         """
         modulus = self._modulus
-        checks = tuple(zip(self._rows, check_central(self.spec, z)))
+        checks = tuple(zip(self._rows, key))
         diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
         for t in itertools.product(*(range(d) for d in diag)):
             if all(
@@ -269,7 +276,7 @@ def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
     return spec.derived(CoweightLattice)
 
 
-def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
+def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=None) -> list:
     """All torus points whose n-th power is the central element.
 
     These are (zeta + mu)/n with mu running over lattice representatives
@@ -277,9 +284,13 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     integers scaled by ``n * lattice.scale``, where the lattice is spanned by
     ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
     order: point k is ``zeta + sum_j c_j hnf_j`` for the digits ``c`` of k
-    in base n, the first column most significant.
+    in base n, the first column most significant.  ``t`` is the
+    :meth:`CoweightLattice.central_coweight` of ``z``, searched for when
+    not given.
     """
-    points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
+    if t is None:
+        t = lattice.central_coweight(z)
+    points = [mat_vec(lattice.scaled_inverse, t)]
     for col in lattice.hnf:
         points = [
             tuple(a + c * b for a, b in zip(pt, col))
@@ -311,8 +322,9 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     Returns orbits as tuples of the TorusPoints of
     :func:`enumerate_roots_of_z`, ordered by first appearance there.
     """
-    points = enumerate_roots_of_z(lattice, z, n)
-    partition = _root_orbits(lattice, lattice.central_coweight(z), n)
+    t = lattice.central_coweight(z)
+    points = enumerate_roots_of_z(lattice, z, n, t)
+    partition = _root_orbits(lattice, t, n)
     return [tuple(points[k] for k in orbit) for orbit in partition]
 
 
@@ -368,10 +380,11 @@ def cross_check(
 
     # The labeling side is the class-table lookup of nth_root_classes.
     diagram = spec.diagram()
+    key = check_central(spec, z)
     kac_orbits = congruence_classes(
         spec,
         n,
-        check_central(spec, z),
+        key,
         lambda all_n: orbit_decompose(
             filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
         ),
@@ -379,7 +392,7 @@ def cross_check(
     )
 
     lattice = build_coweight_lattice(spec)
-    t = lattice.central_coweight(z)
+    t = lattice.key_coweight(key)
     torus_partition = _root_orbits(lattice, t, n)
     orbit_of = {}
     for oi, orbit in enumerate(torus_partition):
