@@ -35,6 +35,7 @@ from .lattice import (
     dual_subgroup,
     format_rational,
     spec_to_document,
+    validate_spec,
 )
 from .oracle import CoweightLattice, TorusPoint, build_coweight_lattice
 from .rootdata import InternalCheckError, LabelingError, SimpleType
@@ -135,8 +136,6 @@ def h1_adjoint(types) -> H1Result:
     Computed both directly on all 2-labelings and as the twisted-form query
     of the adjoint lattice at the trivial twist; the two must agree exactly.
     """
-    from .lattice import validate_spec
-
     comps = tuple(
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types
     )

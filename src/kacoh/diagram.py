@@ -25,10 +25,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .exactalg import mat_vec, vec_add
+from .exactalg import block_diag, mat_mul, mat_vec, vec_add
 from .rootdata import (
     CartanData,
     InternalCheckError,
+    LabelingError,
     SimpleType,
     SpecError,
     cartan_data,
@@ -94,59 +95,54 @@ def _layout(typ: SimpleType) -> list:
 class ExtendedDiagram:
     components: tuple
 
-    # Derived, filled in __post_init__.
-    marks: tuple = field(default=(), compare=False, repr=False)
-    ext_cartan: tuple = field(default=(), compare=False, repr=False)
-    _offsets: tuple = field(default=(), compare=False, repr=False)    # first slot per component
-    _pi_slots: tuple = field(default=(), compare=False, repr=False)
-    # Per component, the slot groups of the display format, in reading order.
-    display_slots: tuple = field(default=(), compare=False, repr=False)
-    # The display format as ``display_template % display_getter(labels)``.
-    display_template: str = field(default="", compare=False, repr=False)
-    display_getter: object = field(default=None, compare=False, repr=False)
-
     def __post_init__(self):
         if not self.components:
             raise SpecError("empty component list")
         object.__setattr__(self, "components", tuple(self.components))
-        marks = []
-        for typ in self.components:
-            marks.extend(cartan_data(typ).marks)
-        object.__setattr__(self, "marks", tuple(marks))
-        blocks = [_extended_cartan(t) for t in self.components]
-        total = len(marks)
-        ext = [[0] * total for _ in range(total)]
-        off = 0
-        for block in blocks:
-            k = len(block)
-            for i in range(k):
-                for j in range(k):
-                    ext[off + i][off + j] = block[i][j]
-            off += k
-        object.__setattr__(self, "ext_cartan", tuple(tuple(r) for r in ext))
-        offsets = tuple(itertools.accumulate((len(b) for b in blocks[:-1]), initial=0))
-        pi_slots = tuple(s for off, b in zip(offsets, blocks) for s in range(off, off + len(b) - 1))
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_pi_slots", pi_slots)
-        display = tuple(
+
+    @cached_property
+    def marks(self) -> tuple:
+        return tuple(m for typ in self.components for m in cartan_data(typ).marks)
+
+    @cached_property
+    def ext_cartan(self) -> tuple:
+        return block_diag([_extended_cartan(t) for t in self.components])
+
+    @cached_property
+    def _offsets(self) -> tuple:
+        """First slot of each component."""
+        return tuple(itertools.accumulate((t.rank + 1 for t in self.components[:-1]), initial=0))
+
+    @cached_property
+    def _pi_slots(self) -> tuple:
+        return tuple(
+            s for off, t in zip(self._offsets, self.components) for s in range(off, off + t.rank)
+        )
+
+    @cached_property
+    def display_slots(self) -> tuple:
+        """Per component, the slot groups of the display format, in reading order."""
+        return tuple(
             tuple(tuple(self.slot(k, v) for v in group) for group in _layout(typ))
             for k, typ in enumerate(self.components)
         )
-        object.__setattr__(self, "display_slots", display)
-        object.__setattr__(self, "display_template", ";".join(
-            "/".join("%d" * len(group) for group in groups) for groups in display
-        ))
-        object.__setattr__(self, "display_getter", operator.itemgetter(
-            *(s for groups in display for group in groups for s in group)
-        ))
+
+    @cached_property
+    def display_template(self) -> str:
+        """The display format as ``display_template % display_getter(labels)``."""
+        return ";".join(
+            "/".join("%d" * len(group) for group in groups) for groups in self.display_slots
+        )
+
+    @cached_property
+    def display_getter(self):
+        return operator.itemgetter(
+            *(s for groups in self.display_slots for group in groups for s in group)
+        )
 
     @property
     def num_vertices(self) -> int:
         return len(self.marks)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(t.rank for t in self.components)
 
     def slot(self, k: int, vertex: int) -> int:
         """Global slot of a local vertex (1..rank, or 0 for the extra one)."""
@@ -198,8 +194,6 @@ class ExtendedDiagram:
         return tuple(out)
 
     def check_labeling(self, labels, n: int) -> None:
-        from .rootdata import LabelingError
-
         if len(labels) != self.num_vertices:
             raise LabelingError(
                 f"expected {self.num_vertices} labels, got {len(labels)}"
@@ -232,7 +226,6 @@ class FundamentalGroupElement:
 class FundamentalGroup:
     diagram: ExtendedDiagram = field(compare=False)
     elements: tuple = ()
-    iso_tag: str = ""
 
     @property
     def order(self) -> int:
@@ -240,6 +233,17 @@ class FundamentalGroup:
 
     def identity(self) -> FundamentalGroupElement:
         return self.elements[0]
+
+    @cached_property
+    def iso_tag(self) -> str:
+        """Invariant-factor label like '1', 'Z2', 'Z4', 'Z2xZ2'.
+
+        The relative orders of the :func:`_staircase` of the elements'
+        sigmas; the first element is the identity.
+        """
+        sigmas = [e.sigma for e in self.elements]
+        stairs = _staircase(sigmas, sigmas[0], _compose)
+        return "x".join(f"Z{d}" for _, d in stairs) or "1"
 
     @cached_property
     def label_actions(self) -> tuple:
@@ -264,9 +268,7 @@ class FundamentalGroup:
                 if _compose(g, h) not in sigmas:
                     raise InternalCheckError("element set is not closed under product")
         ordered = tuple(e for e in self.elements if e.sigma in sigmas)
-        return FundamentalGroup(
-            diagram=self.diagram, elements=ordered, iso_tag=_iso_tag(ordered)
-        )
+        return FundamentalGroup(diagram=self.diagram, elements=ordered)
 
 
 def _compose(g: tuple, h: tuple) -> tuple:
@@ -327,41 +329,36 @@ def fundamental_group_table(typ: SimpleType) -> FundamentalGroup:
 def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
     """Direct product of the per-component groups, on global vertex slots."""
     per_component = []
-    for k, typ in enumerate(diagram.components):
+    for typ in diagram.components:
         sigmas = _component_sigmas(typ)
-        rank = typ.rank
-        ident = tuple(range(rank + 1))
-        items = [(0, ident)] + [(j, sigmas[j]) for j in sorted(sigmas)]
-        per_component.append(items)
-    elements = []
-    for combo in itertools.product(*per_component):
-        sigma = [0] * diagram.num_vertices
-        tags = []
-        off = 0
-        for (tag, local), typ in zip(combo, diagram.components):
-            size = typ.rank + 1
-            for i in range(size):
-                sigma[off + i] = off + local[i]
-            tags.append(tag)
-            off += size
-        elements.append(
-            FundamentalGroupElement(tags=tuple(tags), sigma=tuple(sigma))
+        ident = tuple(range(typ.rank + 1))
+        per_component.append([(0, ident)] + [(j, sigmas[j]) for j in sorted(sigmas)])
+    offsets = diagram._offsets
+    elements = [
+        FundamentalGroupElement(
+            tags=tuple(tag for tag, _ in combo),
+            sigma=tuple(off + i for (_, local), off in zip(combo, offsets) for i in local),
         )
+        for combo in itertools.product(*per_component)
+    ]
     # The tables must give diagram automorphisms preserving marks, checked
     # before the group law is run on them.  A bijection that keeps every
     # nonzero pairing keeps the zeros too, so after the bijection check the
     # nonzero entries are the only ones compared.
+    marks = diagram.marks
     ext = diagram.ext_cartan
     nonzero = [(a, b, x) for a, row in enumerate(ext) for b, x in enumerate(row) if x]
     for g in elements:
         sigma = g.sigma
-        if any(diagram.marks[s] != m for s, m in zip(sigma, diagram.marks)):
+        broken = next((s for s, image in enumerate(sigma) if marks[image] != marks[s]), None)
+        if broken is not None:
+            typ = diagram.components[diagram.local(broken)[0]]
             raise InternalCheckError(f"{typ}: action does not preserve marks")
         if len(set(sigma)) != len(sigma) or any(
             ext[sigma[a]][sigma[b]] != x for a, b, x in nonzero
         ):
             raise InternalCheckError("tabulated action is not a diagram automorphism")
-    return FundamentalGroup(diagram=diagram, elements=tuple(elements), iso_tag=_iso_tag(elements))
+    return FundamentalGroup(diagram=diagram, elements=tuple(elements))
 
 
 def _staircase(elements, zero, add) -> list:
@@ -397,17 +394,6 @@ def _staircase(elements, zero, add) -> list:
     return stairs
 
 
-def _iso_tag(elements) -> str:
-    """Invariant-factor label like '1', 'Z2', 'Z4', 'Z2xZ2'.
-
-    The relative orders of the :func:`_staircase` of the elements' sigmas;
-    the first element is the identity.
-    """
-    sigmas = [e.sigma for e in elements]
-    stairs = _staircase(sigmas, sigmas[0], _compose)
-    return "x".join(f"Z{d}" for _, d in stairs) or "1"
-
-
 def sigma_geometric(data: CartanData, j: int) -> tuple:
     """Recompute the permutation for the coset of the j-th coweight.
 
@@ -422,8 +408,6 @@ def sigma_geometric(data: CartanData, j: int) -> tuple:
         raise ValueError(f"vertex {j} of {data.type} does not have mark 1")
     w0 = longest_element(data).matrix
     wj = longest_element(data, excluded=j).matrix
-    from .exactalg import mat_mul
-
     m = mat_mul(wj, w0)
     omega_j = fundamental_coweight(data, j)
 
@@ -459,61 +443,45 @@ def permuted_labels(sigma: tuple, labels) -> tuple:
 # Plain-text rendering
 
 
-def _component_lines(diagram: ExtendedDiagram, k: int, labels=None) -> list[str]:
-    typ = diagram.components[k]
+def _chain(vertices) -> str:
+    return " - ".join(map(str, vertices))
+
+
+def _component_lines(typ: SimpleType) -> list[str]:
     rank = typ.rank
-
-    def node(v):
-        if labels is None:
-            return str(v)
-        return f"{v}:{labels[diagram.slot(k, v)]}"
-
     fam = typ.family
     if fam == "A" and rank == 1:
-        return [f"{node(1)} <=> {node(0)}"]
+        return ["1 <=> 0"]
     if fam == "A":
-        chain = " - ".join(node(v) for v in range(1, rank + 1))
-        return [f"(cycle) {node(0)} - {chain} - {node(0)}"]
+        return [f"(cycle) 0 - {_chain(range(1, rank + 1))} - 0"]
     if fam == "B":
         if rank == 2:
-            return [f"{node(0)} => {node(2)} <= {node(1)}"]
-        chain = " - ".join(node(v) for v in range(2, rank))
-        return [
-            f"{node(0)} \\",
-            f"    {chain} => {node(rank)}",
-            f"{node(1)} /",
-        ]
+            return ["0 => 2 <= 1"]
+        return ["0 \\", f"    {_chain(range(2, rank))} => {rank}", "1 /"]
     if fam == "C":
-        middle = " - ".join(node(v) for v in range(1, rank))
-        return [f"{node(0)} => {middle} <= {node(rank)}"]
+        return [f"0 => {_chain(range(1, rank))} <= {rank}"]
     if fam == "D":
-        middle = " - ".join(node(v) for v in range(2, rank - 1))
-        return [
-            f"{node(0)} \\{' ' * max(0, len(middle))}/ {node(rank - 1)}",
-            f"    {middle}",
-            f"{node(1)} /{' ' * max(0, len(middle))}\\ {node(rank)}",
-        ]
-    if fam == "E" and rank == 6:
-        row = " - ".join(node(v) for v in (1, 2, 3, 4, 5))
-        pad = len(" - ".join(node(v) for v in (1, 2))) + 3
-        return [row, " " * pad + "|", " " * pad + node(6), " " * pad + "|", " " * pad + node(0)]
-    if fam == "E" and rank == 7:
-        row = " - ".join(node(v) for v in (1, 2, 3, 4, 5, 6, 0))
-        pad = len(" - ".join(node(v) for v in (1, 2, 3))) + 3
-        return [row, " " * pad + "|", " " * pad + node(7)]
-    if fam == "E" and rank == 8:
-        row = " - ".join(node(v) for v in (0, 1, 2, 3, 4, 5, 6, 7))
-        pad = len(" - ".join(node(v) for v in (0, 1, 2, 3, 4))) + 3
-        return [row, " " * pad + "|", " " * pad + node(8)]
+        middle = _chain(range(2, rank - 1))
+        gap = " " * len(middle)
+        return [f"0 \\{gap}/ {rank - 1}", f"    {middle}", f"1 /{gap}\\ {rank}"]
+    if fam == "E":
+        # The row, the vertices before the branch point, and the branch below it.
+        row, before, branch = {
+            6: ((1, 2, 3, 4, 5), (1, 2), ("6", "|", "0")),
+            7: ((1, 2, 3, 4, 5, 6, 0), (1, 2, 3), ("7",)),
+            8: ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4), ("8",)),
+        }[rank]
+        indent = " " * (len(_chain(before)) + 3)
+        return [_chain(row)] + [indent + x for x in ("|",) + branch]
     if fam == "F":
-        return [f"{node(0)} - {node(1)} - {node(2)} => {node(3)} - {node(4)}"]
-    return [f"{node(0)} - {node(2)} =>> {node(1)}"]  # G2, triple edge
+        return ["0 - 1 - 2 => 3 - 4"]
+    return ["0 - 2 =>> 1"]  # G2, triple edge
 
 
-def render_diagram(diagram: ExtendedDiagram, labels=None) -> str:
-    """ASCII picture of the extended diagram, optionally with labels."""
+def render_diagram(diagram: ExtendedDiagram) -> str:
+    """ASCII picture of the extended diagram, vertices named by local number."""
     lines = []
-    for k, typ in enumerate(diagram.components):
+    for typ in diagram.components:
         lines.append(f"[{typ}]")
-        lines.extend(_component_lines(diagram, k, labels))
+        lines.extend(_component_lines(typ))
     return "\n".join(lines)

@@ -2,11 +2,11 @@
 
 Everything in this package is rational and never touches floating point.
 Matrices are tuples of row tuples; basis lattices are handled as lists of
-column vectors.  The lattice routines (Hermite form, integer kernel,
-congruence lattice, reduction modulo a basis, basis coefficients) take and
-return integers only: callers pass data already held in integers, such as
-the X/Q generator rows of :func:`kacoh.lattice.generator_rows`, so nothing
-here scales Fractions.  The small helpers accept ints and Fractions alike.
+column vectors.  The lattice routines (Hermite form, congruence lattice,
+reduction modulo a basis, basis coefficients) take and return integers
+only: callers pass data already held in integers, such as the X/Q
+generator rows of :func:`kacoh.lattice.generator_rows`, so nothing here
+scales Fractions.  The small helpers accept ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -48,39 +48,17 @@ def block_diag(blocks: Sequence[Sequence[Sequence]]) -> Mat:
     return tuple(rows)
 
 
-def column_style_hermite(columns: Sequence[Sequence[int]], track: bool = False):
+def column_style_hermite(columns: Sequence[Sequence[int]]) -> list[Vec]:
     """Hermite form of the integer lattice spanned by ``columns``.
 
     Returns the list of nonzero reduced columns (pivots positive, entries
     above each pivot zero, entries in the pivot row to the left reduced into
-    ``[0, pivot)``).  With ``track=True`` also returns, for every *zero*
-    column of the reduced matrix, the integer combination of the original
-    columns that produced it; those combinations form a kernel basis of the
-    matrix whose columns were passed in.
+    ``[0, pivot)``).
     """
     cols = [list(c) for c in columns]
     ncols = len(cols)
     nrows = len(cols[0]) if cols else 0
-    u = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if track else None
-
-    def combine(j, k, q):
-        # col_j -= q * col_k
-        cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
-        if track:
-            u[j] = [a - q * b for a, b in zip(u[j], u[k])]
-
-    def swap(j, k):
-        cols[j], cols[k] = cols[k], cols[j]
-        if track:
-            u[j], u[k] = u[k], u[j]
-
-    def negate(j):
-        cols[j] = [-a for a in cols[j]]
-        if track:
-            u[j] = [-a for a in u[j]]
-
     pivot = 0
-    pivot_rows = []
     for row in range(nrows):
         live = [j for j in range(pivot, ncols) if cols[j][row] != 0]
         if not live:
@@ -92,49 +70,41 @@ def column_style_hermite(columns: Sequence[Sequence[int]], track: bool = False):
             rest = []
             for j in live[1:]:
                 q = cols[j][row] // cols[j0][row]
-                combine(j, j0, q)
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
                 if cols[j][row] != 0:
                     rest.append(j)
             live = [j0] + rest
         j0 = live[0]
-        swap(pivot, j0)
+        cols[pivot], cols[j0] = cols[j0], cols[pivot]
         if cols[pivot][row] < 0:
-            negate(pivot)
+            cols[pivot] = [-a for a in cols[pivot]]
         # Canonical reduction of earlier columns in this pivot row.
         for j in range(pivot):
             q = cols[j][row] // cols[pivot][row]
             if q:
-                combine(j, pivot, q)
-        pivot_rows.append(row)
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[pivot])]
         pivot += 1
-
-    basis = [tuple(c) for c in cols[:pivot]]
-    if not track:
-        return basis
-    kernel = [tuple(u[j]) for j in range(pivot, ncols)]
-    return basis, kernel
-
-
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
-    """Basis of the integer kernel of the matrix with the given rows."""
-    columns = [tuple(r[j] for r in rows) for j in range(ncols)]
-    _, kernel = column_style_hermite(columns, track=True)
-    return kernel
+    return [tuple(c) for c in cols[:pivot]]
 
 
 def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) -> list[Vec]:
     """Hermite basis of {t in Z^dim : rows @ t == 0 (mod modulus)}.
 
-    Solved as the projection to the first ``dim`` coordinates of the integer
-    kernel of [rows | modulus * I].
+    The columns ``(rows @ e_i ; e_i)`` and ``(modulus * e_j ; 0)`` span the
+    vectors ``(rows @ t + modulus * k ; t)``.  Their Hermite columns that
+    vanish on the first ``len(rows)`` coordinates span those with
+    ``rows @ t + modulus * k == 0``, so their last ``dim`` coordinates are the
+    Hermite basis of the congruence lattice.
     """
-    if not rows:
-        return [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
     m = len(rows)
-    stacked = [list(rows[i]) + [modulus * int(i == j) for j in range(m)] for i in range(m)]
-    kernel = integer_kernel(stacked, dim + m)
-    heads = [k[:dim] for k in kernel]
-    return column_style_hermite(heads)
+    columns = [
+        tuple(r[i] for r in rows) + tuple(int(i == j) for j in range(dim))
+        for i in range(dim)
+    ] + [
+        tuple(modulus * int(i == j) for i in range(m)) + (0,) * dim
+        for j in range(m)
+    ]
+    return [c[m:] for c in column_style_hermite(columns) if not any(c[:m])]
 
 
 def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]], factor: int = 1) -> Vec:

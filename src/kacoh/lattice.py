@@ -60,10 +60,10 @@ class GroupSpec:
         """``build(self)``, built on the first call and kept with the spec.
 
         Data that depends on the spec alone (diagram, groups, the X/Q
-        closure, the coweight lattice, integer generator rows, the class
-        table of :mod:`kacoh.labelings`) is derived through here, so
-        repeated queries on one spec build each part once.  The results are
-        shared: callers must not mutate them.  The one exception is the
+        closure, the coweight lattice, integer generator rows, the texts
+        of its document, the class table of :mod:`kacoh.labelings`) is
+        derived through here, so repeated queries on one spec build each
+        part once.  The results are shared: callers must not mutate them.  The one exception is the
         class table, which fills itself in as queries arrive; only
         :mod:`kacoh.labelings` touches it.
         """
@@ -470,11 +470,18 @@ def spec_from_document(doc) -> GroupSpec:
     return validate_spec(comps, gens)
 
 
+def _document_texts(spec: GroupSpec) -> tuple:
+    """The component names and the generator texts of the spec document."""
+    return (
+        tuple(str(t) for t in spec.components),
+        tuple(tuple(format_rational(x) for x in g) for g in spec.generators),
+    )
+
+
 def spec_to_document(spec: GroupSpec) -> dict:
-    return {
-        "components": [str(t) for t in spec.components],
-        "generators": [[format_rational(x) for x in g] for g in spec.generators],
-    }
+    """A fresh document of the spec, from texts built once per spec."""
+    components, generators = spec.derived(_document_texts)
+    return {"components": list(components), "generators": [list(g) for g in generators]}
 
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")

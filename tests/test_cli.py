@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kacoh
 from kacoh.cli import main
 
 
@@ -334,3 +337,21 @@ def test_random_argv_ends_in_a_documented_exit_code(data):
                 argv += [flag, data.draw(VALUES[flag], label=flag)]
         code = _exit_code(argv)
     assert code in (0, 2, 3, 4, 5), (argv, code)
+
+
+def test_import_loads_only_the_standard_library():
+    # A fresh interpreter, so that only what the import itself adds counts.
+    src = os.path.dirname(os.path.dirname(kacoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys; before = set(sys.modules); import kacoh, kacoh.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "kacoh.cli" in added
+    tops = {name.partition(".")[0] for name in added}
+    assert tops - set(sys.stdlib_module_names) == {"kacoh"}

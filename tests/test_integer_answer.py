@@ -116,6 +116,21 @@ def test_sparse_automorphism_check_rejects_a_corrupted_sigma(monkeypatch):
         fundamental_group(d)
 
 
+def test_broken_marks_name_the_component_of_the_first_broken_slot(monkeypatch):
+    # The B3 sigma of the test above, with A2 keeping its own table, on
+    # either side of it.
+    tables = diagram_module._component_sigmas
+    monkeypatch.setattr(
+        diagram_module,
+        "_component_sigmas",
+        lambda t: {1: (0, 3, 2, 1)} if t.family == "B" else tables(t),
+    )
+    for names in (("B3", "A2"), ("A2", "B3")):
+        d = build_extended_diagram([SimpleType.parse(t) for t in names])
+        with pytest.raises(InternalCheckError, match="^B3: action does not preserve marks$"):
+            fundamental_group(d)
+
+
 def test_witnesses_and_their_text_match_fraction_reference():
     a1 = SimpleType.parse("A1")
     specs = [s for typ in simple_types(5) for s in all_intermediate_specs([typ])]

@@ -195,6 +195,18 @@ def test_preset_errors():
             preset_spec(bad)
 
 
+def test_spec_document_is_fresh_on_every_call():
+    spec = preset_spec("halfspin:D6")
+    doc = spec_to_document(spec)
+    expected = {"components": ["D6"], "generators": [["1/2", "0/1", "1/2", "0/1", "0/1", "1/2"]]}
+    assert doc == expected
+    doc["components"].append("A1")
+    doc["generators"][0][1] = "1/3"
+    doc["generators"].append([])
+    doc["extra"] = True
+    assert spec_to_document(spec) == expected
+
+
 def test_spec_document_round_trip():
     spec = preset_spec("halfspin:D6")
     doc = spec_to_document(spec)
