@@ -9,12 +9,31 @@ coefficients of the coroot ``alpha_i^vee`` in the basis ``h``.  So the
 closure never builds a torus point: each reflection becomes one index
 permutation of the fiber, and the orbits are the connected components of
 those permutations.
+
+Each permutation is built a whole column at a time, never point by point.
+A column holds one byte per point, in product order, so the digits and
+``u`` must stay below 256: the kernel takes ``n <= MAX_N``.  The digit
+columns are repeated blocks, built once per closure.  ``u`` is a chain of
+``bytes.translate`` calls over the digits, last to first.  A moved digit
+``c_j - u * v_ij`` is the union over the values ``x`` of ``u`` of the
+digit column shifted by ``-x * v_ij``, masked to the points where
+``u == x``; the masks act on the columns read as integers.  The image
+index ``k + sum_j n**(rank-1-j) * (c'_j - c_j)`` is integer arithmetic on
+the columns widened to lanes of 1, 2, 4 or 8 bytes, one index per lane:
+the unmoved digits' part of ``k`` is taken first, then the moved digits
+are added, so every lane stays in ``[0, n**rank)`` and never carries into
+the next.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, getitem
+import sys
+from functools import cache
+from operator import mul
+
+MAX_N = 256
+_ORDER = sys.byteorder
+_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 def active_kernel():
@@ -30,13 +49,15 @@ def orbit_partition(points, reflections, n):
     spell ``k``, so the points run through ``(Z/n)^rank`` in
     ``itertools.product`` order.  ``reflections[i]`` is
     ``(a_i, w_i, v_i)`` for the simple reflection ``s_i``: an integer and two
-    integer rows of length ``rank``.  Returns a list of orbits, each a sorted
-    list of indices into ``points``, ordered by their smallest member.
+    integer rows of length ``rank``.  ``n`` is at most :data:`MAX_N`.
+    Returns a list of orbits, each a sorted list of indices into ``points``,
+    ordered by their smallest member.
     """
+    fiber = _Fiber(n, len(reflections[0][1]) if reflections else 0)
     perms = [
         perm
         for a, w, v in reflections
-        if (perm := _reflection_permutation(a, w, v, n, points))
+        if (perm := _reflection_permutation(a, w, v, fiber))
     ]
     seen = bytearray(len(points))
     orbits = []
@@ -57,27 +78,61 @@ def orbit_partition(points, reflections, n):
     return orbits
 
 
-def _reflection_permutation(a, w, v, n, points):
-    """Index of the image under ``s_i`` of every point; None if ``s_i`` fixes all.
+@cache
+def _tables(n):
+    """``bytes.translate`` tables on values below ``n`` (at most MAX_N of them).
 
-    Everything is built for all points at once, in product order, without
-    a loop over the points in Python.
+    ``add[d]`` maps ``x`` to ``x + d mod n`` and ``mask[x]`` maps ``x`` to
+    0xff and every other value to 0.
     """
+    add = [bytes((x + d) % n for x in range(n)) + bytes(256 - n) for d in range(n)]
+    mask = [bytes(255 * (y == x) for y in range(256)) for x in range(n)]
+    return add, mask
+
+
+class _Fiber:
+    """The columns of ``(Z/n)^rank`` in product order, shared by its reflections."""
+
+    def __init__(self, n, rank):
+        self.n = n
+        self.size = size = n ** rank
+        self.steps = [n ** (rank - 1 - j) for j in range(rank)]
+        # Digit j runs through 0..n-1, each value repeated steps[j] times.
+        self.digits = [
+            b"".join(bytes((c,)) * step for c in range(n)) * (size // (n * step))
+            for step in self.steps
+        ]
+        self.width, self.format = next((w, f) for w, f in _LANES if size <= 256 ** w)
+        self.digit_lanes = [self.lanes(column) for column in self.digits]
+        self.identity = sum(map(mul, self.steps, self.digit_lanes))
+
+    def lanes(self, column):
+        """The byte column as one integer with a lane of ``width`` bytes per point."""
+        wide = bytearray(self.size * self.width)
+        wide[0 if _ORDER == "little" else self.width - 1 :: self.width] = column
+        return int.from_bytes(wide, _ORDER)
+
+
+def _reflection_permutation(a, w, v, fiber):
+    """Index of the image under ``s_i`` of every point; None if ``s_i`` fixes all."""
+    n = fiber.n
     moved = [(j, x % n) for j, x in enumerate(v) if x % n]
     if not moved:
         return None
-    # After digit j, u holds a + w_0 c_0 + ... + w_j c_j (mod n) for every
-    # prefix c_0..c_j: each entry spreads into its n extensions.
-    u = [a % n]
-    for wj in w:
-        table = [[(x + wj * c) % n for c in range(n)] for x in range(n)]
-        u = list(chain.from_iterable(map(table.__getitem__, u)))
-    image = points
+    add, mask = _tables(n)
+    # After digit j, u holds a + w_j c_j + ... + w_last c_last (mod n) over
+    # the suffixes c_j..c_last, c_j most significant.
+    u = bytes((a % n,))
+    for wj in reversed(w):
+        u = b"".join([u.translate(add[wj * c % n]) for c in range(n)])
+    where = [int.from_bytes(u.translate(m), _ORDER) for m in mask]
+    steps, digits = fiber.steps, fiber.digits
+    image = fiber.identity - sum(steps[j] * fiber.digit_lanes[j] for j, _ in moved)
     for j, vj in moved:
-        # Digit j of every point, and how far moving it shifts the index.
-        step = n ** (len(w) - 1 - j)
-        digits = list(chain.from_iterable([c] * step for c in range(n)))
-        digits *= len(points) // len(digits)
-        shift = [[step * ((c - x * vj) % n - c) for c in range(n)] for x in range(n)]
-        image = list(map(add, image, map(getitem, map(shift.__getitem__, u), digits)))
-    return image
+        new = 0
+        for x, at_x in enumerate(where):
+            if at_x:
+                new |= at_x & int.from_bytes(digits[j].translate(add[-x * vj % n]), _ORDER)
+        image += steps[j] * fiber.lanes(new.to_bytes(fiber.size, _ORDER))
+    wide = image.to_bytes(fiber.size * fiber.width, _ORDER)
+    return memoryview(wide).cast(fiber.format).tolist()

@@ -15,8 +15,11 @@ by :func:`kacoh.exactalg.reduce_mod_basis`.  The reflection closure (the hot
 loop, :mod:`kacoh._orbit`) builds no torus point at all: the n-th roots are
 ``zeta + sum_j c_j h_j`` over the lattice basis ``h``, indexed by their
 coefficients ``c`` mod n, and each simple reflection acts on those indices
-through integer rows the lattice computes once.  A labeling representative
-is matched by solving its alcove point for its coefficients.
+through integer rows the lattice computes once.  Each reflection's index
+permutation of the fiber is built a whole column at a time, with one byte
+per coefficient, so the closure takes ``n <= 256`` and refuses a larger n
+with BudgetError whatever the budget.  A labeling representative is
+matched by solving its alcove point for its coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._orbit import orbit_partition
+from ._orbit import MAX_N, orbit_partition
 from .exactalg import (
     basis_coefficients,
     block_diag,
@@ -310,8 +313,14 @@ def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
     Closure under the simple reflections, run on the roots' lattice
     coefficients mod n (:func:`kacoh._orbit.orbit_partition`); the group
     itself is never enumerated.  Orbits are sorted lists of positions in
-    :func:`enumerate_roots_of_z`, ordered by their smallest member.
+    :func:`enumerate_roots_of_z`, ordered by their smallest member.  The
+    closure holds one byte per coefficient, so ``n`` above
+    :data:`kacoh._orbit.MAX_N` raises BudgetError whatever the budget.
     """
+    if n > MAX_N:
+        raise BudgetError(
+            f"refusing brute-force run: n {n} exceeds the torus closure's cap of {MAX_N}"
+        )
     reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
     return orbit_partition(range(n ** lattice.rank), reflections, n)
 
@@ -323,8 +332,8 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     :func:`enumerate_roots_of_z`, ordered by first appearance there.
     """
     t = lattice.central_coweight(z)
-    points = enumerate_roots_of_z(lattice, z, n, t)
     partition = _root_orbits(lattice, t, n)
+    points = enumerate_roots_of_z(lattice, z, n, t)
     return [tuple(points[k] for k in orbit) for orbit in partition]
 
 
@@ -378,9 +387,14 @@ def cross_check(
             f"this run would enumerate {n ** rank} torus points"
         )
 
+    key = check_central(spec, z)
+    # The torus side runs first: its n cap refuses before K_n is enumerated.
+    lattice = build_coweight_lattice(spec)
+    t = lattice.key_coweight(key)
+    torus_partition = _root_orbits(lattice, t, n)
+
     # The labeling side is the class-table lookup of nth_root_classes.
     diagram = spec.diagram()
-    key = check_central(spec, z)
     kac_orbits = congruence_classes(
         spec,
         n,
@@ -391,9 +405,6 @@ def cross_check(
         enumerate_Kn,
     )
 
-    lattice = build_coweight_lattice(spec)
-    t = lattice.key_coweight(key)
-    torus_partition = _root_orbits(lattice, t, n)
     orbit_of = {}
     for oi, orbit in enumerate(torus_partition):
         orbit_of.update(dict.fromkeys(orbit, oi))

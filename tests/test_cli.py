@@ -202,6 +202,23 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert exc.value.code == 2
 
 
+def test_oracle_check_refuses_n_above_byte_cap():
+    # Even a budget that allows it cannot take the closure past n = 256: a
+    # fresh interpreter shows the refusal is one line, with no traceback.
+    src = os.path.dirname(os.path.dirname(kacoh.__file__))
+    env = dict(os.environ, KACOH_ORACLE_MAX_N="300", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import sys; from kacoh.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "oracle-check", "--spec", "sc:A1", "--n-list", "257"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 5 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "cap of 256" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_alias_warning(capsys):
     code, out, err = run(capsys, "labelings", "--spec", "ad:B2", "--n", "2")
     assert code == 0

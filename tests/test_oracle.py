@@ -211,6 +211,81 @@ def test_budget_env_override(monkeypatch):
         cross_check(spec, trivial_central(spec), 2, budget=Budget.from_env())
 
 
+def test_closure_refuses_n_above_byte_cap(monkeypatch):
+    # The closure holds one byte per coefficient: n = 256 is the last n it
+    # takes, whatever the budget allows.  The refusal comes before the
+    # labeling side enumerates K_n.
+    spec = preset_spec("sc:A1")
+    z = trivial_central(spec)
+    assert cross_check(spec, z, 256, budget=Budget(max_n=300)).ok
+    monkeypatch.setattr(oracle, "enumerate_Kn", lambda *args: pytest.fail("K_n enumerated"))
+    with pytest.raises(BudgetError, match="cap of 256"):
+        cross_check(spec, z, 257, budget=Budget(max_n=300))
+    with pytest.raises(BudgetError, match="cap of 256"):
+        weyl_orbit_count(build_coweight_lattice(spec), z, 257)
+
+
+def _per_point_permutation(a, w, v, n):
+    """Image index of every point of (Z/n)^rank under c -> c - (a + w.c) v mod n."""
+    images = []
+    for c in itertools.product(range(n), repeat=len(w)):
+        u = a + sum(x * y for x, y in zip(w, c))
+        index = 0
+        for cj, vj in zip(c, v):
+            index = index * n + (cj - u * vj) % n
+        images.append(index)
+    return images
+
+
+def test_reflection_permutation_matches_per_point_reference():
+    from kacoh._orbit import _Fiber, _reflection_permutation, orbit_partition
+
+    rng = random.Random(13)
+    entry = lambda n: rng.choice((0, rng.randint(-3 * n, 3 * n)))
+    checked = 0
+    for n in (2, 3, 4, 5, 7, 16, 255, 256):
+        for rank in range(1, 5):
+            if n ** rank > 70_000:
+                continue
+            fiber = _Fiber(n, rank)
+            for _ in range(2):
+                a = rng.randint(-2 * n, 2 * n)
+                w = [entry(n) for _ in range(rank)]
+                v = [entry(n) for _ in range(rank)]
+                v[rng.randrange(rank)] = rng.choice((-1, 1)) * rng.randint(1, n - 1)
+                assert _reflection_permutation(a, w, v, fiber) == _per_point_permutation(
+                    a, w, v, n
+                ), (n, a, w, v)
+                checked += 1
+            # A coroot that vanishes mod n moves no point.
+            assert _reflection_permutation(1, [1] * rank, [n, 0, -2 * n, 0][:rank], fiber) is None
+    assert checked == 56
+    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1) == [[0]]
+
+
+def test_product_sweep_rank4():
+    # Every product of two or more simple types of total rank <= 4 (no
+    # aliases: B from rank 3, D from rank 4), every lattice, every z.
+    factors = [t for t in simple_types(3) if t.rank >= {"B": 3, "D": 4}.get(t.family, 1)]
+    products = [
+        comps
+        for size in (2, 3, 4)
+        for comps in itertools.combinations_with_replacement(factors, size)
+        if sum(t.rank for t in comps) <= 4
+    ]
+    assert len(products) == 18
+    lattices = runs = 0
+    for comps in products:
+        for spec in all_intermediate_specs(comps):
+            lattices += 1
+            for z in enumerate_center(spec):
+                for n in (1, 2, 3):
+                    report = cross_check(spec, z, n)
+                    assert report.ok, (comps, spec.generators, n, report.failure)
+                    runs += 1
+    assert (lattices, runs) == (168, 1809)
+
+
 def _dense_reflections(spec):
     """Every simple reflection of the spec as a full matrix on coroot coordinates."""
     from kacoh.exactalg import block_diag, identity
