@@ -12,17 +12,16 @@ those permutations.
 
 Each permutation is built a whole column at a time, never point by point.
 A column holds one byte per point, in product order, so the digits and
-``u`` must stay below 256: the kernel takes ``n <= MAX_N``.  The digit
-columns are repeated blocks, built once per closure.  ``u`` is a chain of
-``bytes.translate`` calls over the digits, last to first.  A moved digit
-``c_j - u * v_ij`` is the union over the values ``x`` of ``u`` of the
-digit column shifted by ``-x * v_ij``, masked to the points where
-``u == x``; the masks act on the columns read as integers.  The image
-index ``k + sum_j n**(rank-1-j) * (c'_j - c_j)`` is integer arithmetic on
-the columns widened to lanes of 1, 2, 4 or 8 bytes, one index per lane:
-the unmoved digits' part of ``k`` is taken first, then the moved digits
-are added, so every lane stays in ``[0, n**rank)`` and never carries into
-the next.
+``u`` must stay below 256: the kernel takes ``n <= MAX_N``.  ``u`` is a
+chain of ``bytes.translate`` calls over the digits, last to first, and
+``t = u * v_ij mod n`` one more translate.  The columns are then widened
+to one integer with a lane of 2, 4 or 8 bytes per point.  The moved digit
+``c_j - t mod n`` differs from ``c_j`` by ``-t``, plus ``n`` where
+``c_j < t``, which a shift of ``c_j + 256 - t`` reads off every lane at
+once.  So the image index ``k + sum_j n**(rank-1-j) * (c'_j - c_j)`` takes
+a fixed number of integer operations per moved digit, whatever n is; its
+lanes end in ``[0, n**rank)``, so the integer reads back one index per
+lane.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from operator import mul
 
 MAX_N = 256
 _ORDER = sys.byteorder
-_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+_LANES = ((2, "H"), (4, "I"), (8, "Q"))
 
 
 def active_kernel():
@@ -82,28 +81,31 @@ def orbit_partition(points, reflections, n):
 def _tables(n):
     """``bytes.translate`` tables on values below ``n`` (at most MAX_N of them).
 
-    ``add[d]`` maps ``x`` to ``x + d mod n`` and ``mask[x]`` maps ``x`` to
-    0xff and every other value to 0.
+    ``add[d]`` maps ``x`` to ``x + d mod n`` and ``times[d]`` maps ``x`` to
+    ``x * d mod n``.
     """
-    add = [bytes((x + d) % n for x in range(n)) + bytes(256 - n) for d in range(n)]
-    mask = [bytes(255 * (y == x) for y in range(256)) for x in range(n)]
-    return add, mask
+    pad = bytes(256 - n)
+    cycle = bytes(range(n)) * 2
+    add = [cycle[d : d + n] + pad for d in range(n)]
+    times = [bytes(x * d % n for x in range(n)) + pad for d in range(n)]
+    return add, times
 
 
 class _Fiber:
-    """The columns of ``(Z/n)^rank`` in product order, shared by its reflections."""
+    """The digit columns of ``(Z/n)^rank`` in product order, as integer lanes."""
 
     def __init__(self, n, rank):
         self.n = n
         self.size = size = n ** rank
         self.steps = [n ** (rank - 1 - j) for j in range(rank)]
+        # Two bytes at least: a lane must hold c + 256 - u v for the wrap test.
+        self.width, self.format = next((w, f) for w, f in _LANES if size <= 256 ** w)
+        self.ones = self.lanes(b"\x01" * size)
         # Digit j runs through 0..n-1, each value repeated steps[j] times.
-        self.digits = [
-            b"".join(bytes((c,)) * step for c in range(n)) * (size // (n * step))
+        self.digit_lanes = [
+            self.lanes(b"".join(bytes((c,)) * step for c in range(n)) * (size // (n * step)))
             for step in self.steps
         ]
-        self.width, self.format = next((w, f) for w, f in _LANES if size <= 256 ** w)
-        self.digit_lanes = [self.lanes(column) for column in self.digits]
         self.identity = sum(map(mul, self.steps, self.digit_lanes))
 
     def lanes(self, column):
@@ -119,20 +121,19 @@ def _reflection_permutation(a, w, v, fiber):
     moved = [(j, x % n) for j, x in enumerate(v) if x % n]
     if not moved:
         return None
-    add, mask = _tables(n)
+    add, times = _tables(n)
     # After digit j, u holds a + w_j c_j + ... + w_last c_last (mod n) over
     # the suffixes c_j..c_last, c_j most significant.
     u = bytes((a % n,))
     for wj in reversed(w):
         u = b"".join([u.translate(add[wj * c % n]) for c in range(n)])
-    where = [int.from_bytes(u.translate(m), _ORDER) for m in mask]
-    steps, digits = fiber.steps, fiber.digits
-    image = fiber.identity - sum(steps[j] * fiber.digit_lanes[j] for j, _ in moved)
+    ones = fiber.ones
+    image = fiber.identity
     for j, vj in moved:
-        new = 0
-        for x, at_x in enumerate(where):
-            if at_x:
-                new |= at_x & int.from_bytes(digits[j].translate(add[-x * vj % n]), _ORDER)
-        image += steps[j] * fiber.lanes(new.to_bytes(fiber.size, _ORDER))
+        # Digit j becomes c_j - t (mod n) with t = u v_j mod n: it moves by
+        # -t, plus n where c_j < t, which is where bit 8 of c_j + 256 - t is clear.
+        t = fiber.lanes(u.translate(times[vj]))
+        wraps = ones - (((fiber.digit_lanes[j] + (ones << 8) - t) >> 8) & ones)
+        image += fiber.steps[j] * (n * wraps - t)
     wide = image.to_bytes(fiber.size * fiber.width, _ORDER)
     return memoryview(wide).cast(fiber.format).tolist()

@@ -307,6 +307,13 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
     return [TorusPoint(pt, denominator) for pt in reduced]
 
 
+def _refuse_above_cap(n: int) -> None:
+    if n > MAX_N:
+        raise BudgetError(
+            f"refusing brute-force run: n {n} exceeds the torus closure's cap of {MAX_N}"
+        )
+
+
 def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
     """Weyl orbits on the n-th roots of the central element of coweight ``t``.
 
@@ -317,10 +324,7 @@ def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
     closure holds one byte per coefficient, so ``n`` above
     :data:`kacoh._orbit.MAX_N` raises BudgetError whatever the budget.
     """
-    if n > MAX_N:
-        raise BudgetError(
-            f"refusing brute-force run: n {n} exceeds the torus closure's cap of {MAX_N}"
-        )
+    _refuse_above_cap(n)
     reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
     return orbit_partition(range(n ** lattice.rank), reflections, n)
 
@@ -332,8 +336,8 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     :func:`enumerate_roots_of_z`, ordered by first appearance there.
     """
     t = lattice.central_coweight(z)
-    partition = _root_orbits(lattice, t, n)
     points = enumerate_roots_of_z(lattice, z, n, t)
+    partition = _root_orbits(lattice, t, n)
     return [tuple(points[k] for k in orbit) for orbit in partition]
 
 
@@ -387,14 +391,11 @@ def cross_check(
             f"this run would enumerate {n ** rank} torus points"
         )
 
-    key = check_central(spec, z)
-    # The torus side runs first: its n cap refuses before K_n is enumerated.
-    lattice = build_coweight_lattice(spec)
-    t = lattice.key_coweight(key)
-    torus_partition = _root_orbits(lattice, t, n)
+    _refuse_above_cap(n)
 
     # The labeling side is the class-table lookup of nth_root_classes.
     diagram = spec.diagram()
+    key = check_central(spec, z)
     kac_orbits = congruence_classes(
         spec,
         n,
@@ -405,6 +406,9 @@ def cross_check(
         enumerate_Kn,
     )
 
+    lattice = build_coweight_lattice(spec)
+    t = lattice.key_coweight(key)
+    torus_partition = _root_orbits(lattice, t, n)
     orbit_of = {}
     for oi, orbit in enumerate(torus_partition):
         orbit_of.update(dict.fromkeys(orbit, oi))

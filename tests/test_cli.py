@@ -219,6 +219,13 @@ def test_oracle_check_refuses_n_above_byte_cap():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_oracle_check_refuses_nonpositive_n(capsys, n):
+    code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", n)
+    assert (code, out) == (4, "")
+    assert err == f"error: n must be positive, got {n}\n"
+
+
 def test_alias_warning(capsys):
     code, out, err = run(capsys, "labelings", "--spec", "ad:B2", "--n", "2")
     assert code == 0

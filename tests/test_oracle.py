@@ -260,6 +260,11 @@ def test_reflection_permutation_matches_per_point_reference():
             # A coroot that vanishes mod n moves no point.
             assert _reflection_permutation(1, [1] * rank, [n, 0, -2 * n, 0][:rank], fiber) is None
     assert checked == 56
+    # Past 65,536 points each index takes a 4-byte lane.
+    fiber = _Fiber(17, 4)
+    assert (fiber.size, fiber.width) == (83_521, 4)
+    for a, w, v in [(5, [1, -2, 0, 3], [0, 1, -1, 0]), (-3, [16, 0, 2, -40], [2, 0, 0, 33])]:
+        assert _reflection_permutation(a, w, v, fiber) == _per_point_permutation(a, w, v, 17)
     assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1) == [[0]]
 
 
