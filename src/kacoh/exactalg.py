@@ -6,7 +6,9 @@ column vectors.  The lattice routines (Hermite form, congruence lattice,
 reduction modulo a basis, basis coefficients) take and return integers
 only: callers pass data already held in integers, such as the X/Q
 generator rows of :func:`kacoh.lattice.generator_rows`, so nothing here
-scales Fractions.  The small helpers accept ints and Fractions alike.
+scales Fractions.  Reduction and coefficient solving take a triangular basis
+as its :func:`triangular_form`, so they touch only its nonzero entries.  The
+small helpers accept ints and Fractions alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ def vec_add(u: Sequence, v: Sequence) -> Vec:
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+    """``m @ v``, summed over the nonzero entries of ``v`` only."""
+    terms = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum(row[j] * x for j, x in terms) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
@@ -107,44 +111,53 @@ def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) ->
     return [c[m:] for c in column_style_hermite(columns) if not any(c[:m])]
 
 
-def reduce_mod_basis(vec: Sequence[int], basis: Sequence[Sequence[int]], factor: int = 1) -> Vec:
+def triangular_form(basis: Sequence[Sequence[int]]) -> tuple:
+    """The nonzero entries of a lower triangular column basis, column by column.
+
+    ``basis`` is lower triangular with positive diagonal, as produced by
+    :func:`column_style_hermite` on a full-rank lattice.  Column ``i`` becomes
+    ``(pivot, below)``: its diagonal entry and the ``(row, entry)`` pairs of
+    its nonzero entries below the diagonal.
+    """
+    return tuple(
+        (col[i], tuple((k, a) for k, a in enumerate(col[i + 1:], i + 1) if a))
+        for i, col in enumerate(basis)
+    )
+
+
+def reduce_mod_basis(vec: Sequence[int], triangular: Sequence, factor: int = 1) -> Vec:
     """Canonical representative of an integer vector modulo the column lattice ``factor * basis``.
 
-    ``basis`` must be lower triangular with positive diagonal (as produced by
-    :func:`column_style_hermite` on a full-rank lattice) and ``factor``
-    positive.  The result has 0 <= out[i] < factor * basis[i][i] for every
+    ``triangular`` is the :func:`triangular_form` of ``basis`` and ``factor``
+    is positive.  The result has 0 <= out[i] < factor * basis[i][i] for every
     coordinate, so two vectors are congruent modulo the lattice iff they
     reduce to the same tuple.
     """
     x = list(vec)
-    dim = len(x)
-    for i in range(dim):
-        col = basis[i]
-        q = x[i] // (factor * col[i]) * factor
+    for i, (pivot, below) in enumerate(triangular):
+        q = x[i] // (factor * pivot) * factor
         if q:
-            for k in range(i, dim):
-                x[k] -= q * col[k]
+            x[i] -= q * pivot
+            for k, a in below:
+                x[k] -= q * a
     return tuple(x)
 
 
-def basis_coefficients(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> Vec | None:
+def basis_coefficients(vec: Sequence[int], triangular: Sequence) -> Vec | None:
     """Integer ``d`` with ``vec == sum_j d[j] * basis[j]``, or None if there is none.
 
-    ``basis`` must be lower triangular with positive diagonal, as for
-    :func:`reduce_mod_basis`; the coefficients are solved for from the top
-    coordinate down, and a division that is not exact means ``vec`` lies
-    outside the lattice.
+    ``triangular`` is the :func:`triangular_form` of ``basis``; the
+    coefficients are solved for from the top coordinate down, and a division
+    that is not exact means ``vec`` lies outside the lattice.
     """
     x = list(vec)
-    dim = len(x)
     out = []
-    for i in range(dim):
-        col = basis[i]
-        q, r = divmod(x[i], col[i])
+    for i, (pivot, below) in enumerate(triangular):
+        q, r = divmod(x[i], pivot)
         if r:
             return None
         if q:
-            for k in range(i, dim):
-                x[k] -= q * col[k]
+            for k, a in below:
+                x[k] -= q * a
         out.append(q)
     return tuple(out)

@@ -44,21 +44,38 @@ class LabelingOrbit:
 
 
 def _component_solutions(diagram: ExtendedDiagram, k: int, n: int) -> list:
-    """All solutions of the weighted sum on one component, lexicographic."""
-    slots = list(diagram.component_slots(k))
-    marks = [diagram.marks[s] for s in slots]
+    """All solutions of the weighted sum on one component, lexicographic.
 
-    def rec(pos: int, remaining: int):
-        if pos == len(slots) - 1:
-            # The extra vertex sits last in slot order and has mark 1.
-            yield (remaining,)
-            return
-        m = marks[pos]
-        for value in range(remaining // m + 1):
-            for rest in rec(pos + 1, remaining - m * value):
-                yield (value,) + rest
+    One label list is filled in place and copied into a tuple once per
+    solution, so the work is linear in the output.  A call places the next
+    nonzero label: the further right it sits, the more leading zeros and
+    the earlier the solution, and the extra vertex, last in slot order with
+    mark 1, takes whatever weight remains.  The recursion is as deep as the
+    solution has nonzero labels, not as the diagram is long.
+    """
+    marks = [diagram.marks[s] for s in diagram.component_slots(k)]
+    last = len(marks) - 1
+    labels = [0] * len(marks)
+    out = []
 
-    return [sol for sol in rec(0, n)]
+    def fill(start: int, remaining: int) -> None:
+        # Invariant: labels[start:] are 0 on entry and on return.
+        labels[last] = remaining
+        out.append(tuple(labels))
+        labels[last] = 0
+        for j in range(last - 1, start - 1, -1):
+            m = marks[j]
+            for value in range(1, remaining // m + 1):
+                labels[j] = value
+                rest = remaining - m * value
+                if rest:
+                    fill(j + 1, rest)
+                else:
+                    out.append(tuple(labels))
+            labels[j] = 0
+
+    fill(0, n)
+    return out
 
 
 def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
@@ -73,11 +90,10 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
     per_component = [
         _component_solutions(diagram, k, n) for k in range(len(diagram.components))
     ]
-    out = []
-    for combo in itertools.product(*per_component):
-        flat = tuple(itertools.chain.from_iterable(combo))
-        out.append(KacLabeling(labels=flat, n=n))
-    return out
+    return [
+        KacLabeling(labels=sum(combo, ()), n=n)
+        for combo in itertools.product(*per_component)
+    ]
 
 
 def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
@@ -153,7 +169,8 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
     by_labels = {p.labels: p for p in labelings}
     if len(by_labels) != len(labelings):
         raise LabelingError("duplicate labelings in orbit input")
-    actions = group.label_actions
+    # The first action is the identity's, which moves nothing.
+    actions = group.label_actions[1:]
     done = set()
     orbits = []
     for p in labelings:
@@ -184,7 +201,7 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
                 stabilizer_order=group.order // len(members),
             )
         )
-    orbits.sort(key=lambda o: o.representative)
+    orbits.sort(key=lambda o: o.representative.labels)
     return orbits
 
 

@@ -491,9 +491,10 @@ def parse_rational(x) -> Fraction:
     """An int, or text of an integer or ``num/den`` with an optional sign.
 
     Anything else is a :class:`SpecError`.  Decimal points and exponents are
-    refused: ``Fraction`` would build the power of ten of ``1e-999999999``.
+    refused: ``Fraction`` would build the power of ten of ``1e-999999999``,
+    and so are booleans, which Python counts as ints.
     """
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     match = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     if match is not None:

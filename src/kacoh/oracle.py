@@ -9,17 +9,20 @@ the simple reflections, and compares class counts and representatives with
 the labeling pipeline point by point.
 
 The torus side runs in integers.  A torus point is an integer vector over
-one denominator (:class:`TorusPoint`); the lattice basis, the root points and
-the alcove points of labelings are reduced in the lattice's integer scaling
-by :func:`kacoh.exactalg.reduce_mod_basis`.  The reflection closure (the hot
-loop, :mod:`kacoh._orbit`) builds no torus point at all: the n-th roots are
-``zeta + sum_j c_j h_j`` over the lattice basis ``h``, indexed by their
-coefficients ``c`` mod n, and each simple reflection acts on those indices
-through integer rows the lattice computes once.  Each reflection's index
-permutation of the fiber is built a whole column at a time, with one byte
-per coefficient, so the closure takes ``n <= 256`` and refuses a larger n
-with BudgetError whatever the budget.  A labeling representative is
-matched by solving its alcove point for its coefficients.
+one denominator (:class:`TorusPoint`); the root points and the alcove points
+of labelings are reduced in the lattice's integer scaling by
+:func:`kacoh.exactalg.reduce_mod_basis`, which walks only the nonzero entries
+of the lattice basis (its :func:`kacoh.exactalg.triangular_form`).  The
+reflection closure (the hot loop, :mod:`kacoh._orbit`) builds no torus point
+at all: the n-th roots are ``zeta + sum_j c_j h_j`` over the lattice basis
+``h``, indexed by their coefficients ``c`` mod n, and each simple reflection
+acts on those indices through integer rows the lattice derives on first use,
+so a witness query that runs no closure never builds them.  Each
+reflection's index permutation of the fiber is built a whole column at a
+time, with one byte per coefficient, so the closure takes ``n <= 256`` and
+refuses a larger n with BudgetError whatever the budget.  A labeling
+representative is matched by solving its alcove point for its
+coefficients.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from ._orbit import MAX_N, orbit_partition
@@ -38,6 +42,7 @@ from .exactalg import (
     congruence_lattice,
     mat_vec,
     reduce_mod_basis,
+    triangular_form,
 )
 from .labelings import (
     _ASCII_INT,
@@ -115,12 +120,14 @@ class CoweightLattice:
     ``hnf`` is ``scale`` times the basis, where ``scale`` is the lcm of the
     denominators of the inverse Cartan matrix, so every coweight has
     integer coordinates once multiplied by ``scale``.  Points are reduced in
-    that scaling, times a factor where their denominators need one.
+    that scaling, times a factor where their denominators need one, against
+    ``triangular``, the :func:`kacoh.exactalg.triangular_form` of ``hnf``.
 
-    For the reflection closure it also keeps, per simple root ``alpha_i``,
+    For the reflection closure it also derives, per simple root ``alpha_i``,
     the integer rows ``root_pairings[i][j] = <alpha_i, hnf_j / scale>`` and
     ``coroot_coefficients[i]``, the coefficients of ``alpha_i^vee`` in the
-    basis (see :mod:`kacoh._orbit`).
+    basis (see :mod:`kacoh._orbit`).  Both are built on first use, so a
+    query that only needs witnesses never builds them.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -154,16 +161,29 @@ class CoweightLattice:
             if any(col[k] != 0 for k in range(i)) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
         self.hnf = tuple(hnf)
-        self.root_pairings, self.coroot_coefficients = _reflection_coefficients(
-            self.cartan, self.hnf, scale
-        )
+
+    @cached_property
+    def triangular(self) -> tuple:
+        return triangular_form(self.hnf)
+
+    @cached_property
+    def _reflection_rows(self) -> tuple:
+        return _reflection_coefficients(self.cartan, self.hnf, self.scale)
+
+    @property
+    def root_pairings(self) -> tuple:
+        return self._reflection_rows[0]
+
+    @property
+    def coroot_coefficients(self) -> tuple:
+        return self._reflection_rows[1]
 
     def canonical_point(self, coords) -> TorusPoint:
         """The reduced point of rational simple-coroot coordinates."""
         denominator = lcm(self.scale, *(x.denominator for x in coords))
         scaled = [x.numerator * (denominator // x.denominator) for x in coords]
         return TorusPoint(
-            reduce_mod_basis(scaled, self.hnf, denominator // self.scale), denominator
+            reduce_mod_basis(scaled, self.triangular, denominator // self.scale), denominator
         )
 
     def canonicalize(self, coords) -> tuple:
@@ -190,7 +210,7 @@ class CoweightLattice:
         ``n * scale`` and reduced against ``n * hnf``.
         """
         x = self._alcove_vector(p)
-        return TorusPoint(reduce_mod_basis(x, self.hnf, p.n), p.n * self.scale)
+        return TorusPoint(reduce_mod_basis(x, self.triangular, p.n), p.n * self.scale)
 
     def root_index(self, p: KacLabeling, zeta) -> int | None:
         """Position of the alcove point of ``p`` in :func:`enumerate_roots_of_z`.
@@ -202,7 +222,7 @@ class CoweightLattice:
         digits ``d mod n``.  None when the point is no root.
         """
         diff = [x - y for x, y in zip(self._alcove_vector(p), zeta)]
-        coefficients = basis_coefficients(diff, self.hnf)
+        coefficients = basis_coefficients(diff, self.triangular)
         if coefficients is None:
             return None
         index = 0
@@ -261,9 +281,10 @@ def _reflection_coefficients(cartan, hnf, scale) -> tuple:
     coweights; a division that is not exact raises InternalCheckError.
     """
     rank = len(cartan)
+    triangular = triangular_form(hnf)
     v = []
     for i in range(rank):
-        coefficients = basis_coefficients([scale * int(k == i) for k in range(rank)], hnf)
+        coefficients = basis_coefficients([scale * int(k == i) for k in range(rank)], triangular)
         if coefficients is None:
             raise InternalCheckError("coroot lattice not contained in basis")
         v.append(coefficients)
@@ -300,7 +321,7 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
             for pt in points
             for c in range(n)
         ]
-    reduced = [reduce_mod_basis(pt, lattice.hnf, n) for pt in points]
+    reduced = [reduce_mod_basis(pt, lattice.triangular, n) for pt in points]
     if len(set(reduced)) != len(reduced):
         raise InternalCheckError("duplicate root of the central element")
     denominator = n * lattice.scale

@@ -135,6 +135,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [["1/0"]]}))
     code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
     assert code == 3 and out == "" and err.count("\n") == 1 and "1/0" in err
+    # JSON booleans are no coefficients, though Python counts them as ints.
+    bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [[True]]}))
+    code, out, err = run(capsys, "roots", "--spec", str(bad_spec), "--z", "0", "--n", "2")
+    assert code == 3 and out == ""
+    assert err == "error: bad rational True (use an integer or 'num/den')\n"
     # Decimal exponents are refused before any power of ten is built.
     bad_spec.write_text(json.dumps({"components": ["A1"], "generators": [["1e-999999999"]]}))
     for spec_arg, z in (("sc:A1", "1e-999999999"), (str(bad_spec), "0")):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +86,57 @@ def test_product_enumeration():
     k2 = enumerate_Kn(d, 2)
     assert len(k2) == 9
     assert k2[0].labels == (0, 2, 0, 2)
+
+
+def brute_force_Kn(d, n):
+    """Every n-labeling of ``d``, by brute force, in lexicographic order.
+
+    Each root-vertex label runs over ``0..n // mark`` in
+    ``itertools.product`` order.  A combination is kept when every
+    component's weighted sum is at most n, and each component's extra
+    vertex (last in its block, mark 1) takes the rest.  The extra labels
+    are determined by the others, so the product order is the
+    lexicographic order of the full label tuples.
+    """
+    blocks = [d.component_slots(k)[:-1] for k in range(len(d.components))]
+    marks = [d.marks[s] for block in blocks for s in block]
+    # Mark times label per slot, so that the first cut, on the total, runs
+    # in C; the cut on each component's sum follows on what is left.
+    weighted, totals = itertools.tee(itertools.product(*(range(0, n + 1, m) for m in marks)))
+    bound = n * len(blocks)
+    out = []
+    for w in itertools.compress(weighted, map(bound.__ge__, map(sum, totals))):
+        labels, start = [], 0
+        for block in blocks:
+            end = start + len(block)
+            labels += [x // m for x, m in zip(w[start:end], marks[start:end])]
+            labels.append(n - sum(w[start:end]))
+            start = end
+        if min(labels) >= 0:
+            out.append(tuple(labels))
+    return out
+
+
+def test_enumeration_matches_brute_force(types_rank8):
+    for typ in types_rank8:
+        d = D(str(typ))
+        for n in range(1, 7):
+            assert [p.labels for p in enumerate_Kn(d, n)] == brute_force_Kn(d, n), (typ, n)
+    # Products: the flat order is component-major.
+    for names in (("A2", "A1"), ("B3", "G2"), ("A1", "A1", "A1")):
+        d = D(*names)
+        for n in range(1, 5):
+            assert [p.labels for p in enumerate_Kn(d, n)] == brute_force_Kn(d, n), (names, n)
+
+
+def test_enumeration_at_high_rank():
+    labelings = enumerate_Kn(D("A200"), 2)
+    assert len(labelings) == 202 * 201 // 2
+    assert labelings[0].labels == (0,) * 200 + (2,)
+    assert labelings[1].labels == (0,) * 199 + (1, 1)
+    assert labelings[-1].labels == (2,) + (0,) * 200
+    # The recursion follows the nonzero labels, not the diagram's length.
+    assert len(enumerate_Kn(D("A1000"), 1)) == 1001
 
 
 def test_filter_for_central_a1():

@@ -145,6 +145,23 @@ def test_weyl_orbit_requires_closed_set():
         _reflection_coefficients(ad.cartan, beyond_coweights, ad.scale)
 
 
+def test_witness_path_builds_no_closure_rows():
+    from kacoh.cohomology import nth_root_classes
+    from kacoh.oracle import _reflection_coefficients
+
+    spec = preset_spec("sc:A40")
+    nth_root_classes(spec, trivial_central(spec), 2)
+    assert "_reflection_rows" not in vars(build_coweight_lattice(spec))
+    spec = preset_spec("halfspin:D6")
+    for z in enumerate_center(spec):
+        assert cross_check(spec, z, 2).ok
+    lattice = build_coweight_lattice(spec)
+    assert "_reflection_rows" in vars(lattice)
+    assert (lattice.root_pairings, lattice.coroot_coefficients) == _reflection_coefficients(
+        lattice.cartan, lattice.hnf, lattice.scale
+    )
+
+
 def test_cross_check_e7():
     for preset, expected in (("sc:E7", [4, 2]), ("ad:E7", [4])):
         spec = preset_spec(preset)
