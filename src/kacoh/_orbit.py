@@ -22,6 +22,11 @@ once.  So the image index ``k + sum_j n**(rank-1-j) * (c'_j - c_j)`` takes
 a fixed number of integer operations per moved digit, whatever n is; its
 lanes end in ``[0, n**rank)``, so the integer reads back one index per
 lane.
+
+Nothing of this is built twice.  The fiber's columns depend only on
+``(n, rank)`` and are built once per process; a permutation depends only
+on ``n``, the rows ``w_i``, ``v_i`` and ``a_i mod n``, so the caller keeps
+it, as its lane bytes, in a store that lives as long as those rows.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ def active_kernel():
     return "pure", orbit_partition
 
 
-def orbit_partition(points, reflections, n):
+def orbit_partition(points, reflections, n, store):
     """Partition the points of a root fiber into reflection orbits.
 
     ``points`` is ``range(n ** rank)``: point ``k`` is the coefficient
@@ -49,15 +54,11 @@ def orbit_partition(points, reflections, n):
     ``itertools.product`` order.  ``reflections[i]`` is
     ``(a_i, w_i, v_i)`` for the simple reflection ``s_i``: an integer and two
     integer rows of length ``rank``.  ``n`` is at most :data:`MAX_N`.
+    ``store`` keeps the permutations across calls (see :func:`_permutations`).
     Returns a list of orbits, each a sorted list of indices into ``points``,
     ordered by their smallest member.
     """
-    fiber = _Fiber(n, len(reflections[0][1]) if reflections else 0)
-    perms = [
-        perm
-        for a, w, v in reflections
-        if (perm := _reflection_permutation(a, w, v, fiber))
-    ]
+    perms = _permutations(reflections, n, store)
     seen = bytearray(len(points))
     orbits = []
     for start in points:
@@ -77,6 +78,27 @@ def orbit_partition(points, reflections, n):
     return orbits
 
 
+def _permutations(reflections, n, store):
+    """The index permutation of every reflection that moves a point.
+
+    Each is built once per ``(n, i, a_i mod n)``, the key it is kept under
+    in the dict ``store``, so one store serves one set of rows ``w``, ``v``.
+    It is kept as its lane bytes (None where ``s_i`` fixes every point),
+    far smaller than a list of ints, and read back into a list per call.
+    """
+    fiber = _fiber(n, len(reflections[0][1]) if reflections else 0)
+    perms = []
+    for i, (a, w, v) in enumerate(reflections):
+        key = (n, i, a % n)
+        try:
+            lanes = store[key]
+        except KeyError:
+            lanes = store[key] = _reflection_lanes(a, w, v, fiber)
+        if lanes is not None:
+            perms.append(memoryview(lanes).cast(fiber.format).tolist())
+    return perms
+
+
 @cache
 def _tables(n):
     """``bytes.translate`` tables on values below ``n`` (at most MAX_N of them).
@@ -89,6 +111,16 @@ def _tables(n):
     add = [cycle[d : d + n] + pad for d in range(n)]
     times = [bytes(x * d % n for x in range(n)) + pad for d in range(n)]
     return add, times
+
+
+@cache
+def _fiber(n, rank):
+    """The :class:`_Fiber` of ``(n, rank)``, built once.
+
+    It holds ``rank + 2`` integers of ``n ** rank`` lanes, less than the
+    permutation lists of one closure over it.
+    """
+    return _Fiber(n, rank)
 
 
 class _Fiber:
@@ -115,8 +147,11 @@ class _Fiber:
         return int.from_bytes(wide, _ORDER)
 
 
-def _reflection_permutation(a, w, v, fiber):
-    """Index of the image under ``s_i`` of every point; None if ``s_i`` fixes all."""
+def _reflection_lanes(a, w, v, fiber):
+    """The image index under ``s_i`` of every point, one lane each, as bytes.
+
+    None if ``s_i`` fixes every point.
+    """
     n = fiber.n
     moved = [(j, x % n) for j, x in enumerate(v) if x % n]
     if not moved:
@@ -135,5 +170,4 @@ def _reflection_permutation(a, w, v, fiber):
         t = fiber.lanes(u.translate(times[vj]))
         wraps = ones - (((fiber.digit_lanes[j] + (ones << 8) - t) >> 8) & ones)
         image += fiber.steps[j] * (n * wraps - t)
-    wide = image.to_bytes(fiber.size * fiber.width, _ORDER)
-    return memoryview(wide).cast(fiber.format).tolist()
+    return image.to_bytes(fiber.size * fiber.width, _ORDER)

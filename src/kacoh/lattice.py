@@ -136,10 +136,13 @@ def _int_closure(gens, rank: int, den: int) -> set:
     """The subgroup of ``(Z/den)^rank`` generated by ``gens``.
 
     Adds one generator ``g`` at a time: the cosets ``H + k*g`` of the
-    subgroup ``H`` so far are new until the first that meets ``H``.
+    subgroup ``H`` so far are new until the first that meets ``H``.  A
+    generator already in ``H`` adds nothing and is skipped.
     """
     out = {(0,) * rank}
     for g in gens:
+        if g in out:
+            continue
         coset = list(out)
         while True:
             coset = [tuple([(a + b) % den for a, b in zip(v, g)]) for v in coset]

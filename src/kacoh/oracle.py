@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +54,7 @@ from .labelings import (
     orbit_decompose,
 )
 from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, format_rational, generator_rows, spec_to_document
-from .rootdata import BudgetError, InternalCheckError, cartan_data
+from .rootdata import BudgetError, InternalCheckError, LabelingError, cartan_data
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,13 @@ class CoweightLattice:
     ``coroot_coefficients[i]``, the coefficients of ``alpha_i^vee`` in the
     basis (see :mod:`kacoh._orbit`).  Both are built on first use, so a
     query that only needs witnesses never builds them.
+
+    What the closure derives from a central element is kept for the
+    lattice's lifetime: the :meth:`key_coweight` of each central key with
+    its ``zeta``, and the reflection permutations per ``(n, i, a_i mod n)``,
+    as lane bytes (``orbit_partition``'s ``store``).  Since ``a_i`` is a
+    coordinate of a central coweight, a lattice holds per n at most
+    ``rank * min(n, |Z|)`` permutations of ``n ** rank`` lanes.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -161,6 +169,8 @@ class CoweightLattice:
             if any(col[k] != 0 for k in range(i)) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
         self.hnf = tuple(hnf)
+        self._centrals = {}     # central key -> (t, zeta)
+        self._permutations = {}  # orbit_partition's store
 
     @cached_property
     def triangular(self) -> tuple:
@@ -252,8 +262,20 @@ class CoweightLattice:
 
         Searched over the finitely many coweight classes modulo this
         lattice, for the first ``t`` whose sums ``row . t`` over the scaled
-        generator rows are ``key`` mod ``modulus``.
+        generator rows are ``key`` mod ``modulus``; once per key.
         """
+        return self._central(key)[0]
+
+    def _central(self, key: tuple) -> tuple:
+        """``(t, zeta)``: the :meth:`key_coweight` ``t`` of ``key`` and
+        ``zeta``, ``scale`` times its coroot coordinates."""
+        found = self._centrals.get(key)
+        if found is None:
+            t = self._search_coweight(key)
+            found = self._centrals[key] = (t, mat_vec(self.scaled_inverse, t))
+        return found
+
+    def _search_coweight(self, key: tuple) -> tuple:
         modulus = self._modulus
         checks = tuple(zip(self._rows, key))
         diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
@@ -267,8 +289,8 @@ class CoweightLattice:
 
     def central_representative(self, z: CentralElement) -> tuple:
         """The coweight of :meth:`central_coweight` in coroot coordinates."""
-        t = self.central_coweight(z)
-        return tuple(Fraction(x, self.scale) for x in mat_vec(self.scaled_inverse, t))
+        zeta = self._central(check_central(self.spec, z))[1]
+        return tuple(Fraction(x, self.scale) for x in zeta)
 
 
 def _reflection_coefficients(cartan, hnf, scale) -> tuple:
@@ -300,6 +322,11 @@ def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
     return spec.derived(CoweightLattice)
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise LabelingError(f"n must be positive, got {n}")
+
+
 def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=None) -> list:
     """All torus points whose n-th power is the central element.
 
@@ -312,6 +339,7 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
     :meth:`CoweightLattice.central_coweight` of ``z``, searched for when
     not given.
     """
+    _check_n(n)
     if t is None:
         t = lattice.central_coweight(z)
     points = [mat_vec(lattice.scaled_inverse, t)]
@@ -347,7 +375,7 @@ def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
     """
     _refuse_above_cap(n)
     reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
-    return orbit_partition(range(n ** lattice.rank), reflections, n)
+    return orbit_partition(range(n ** lattice.rank), reflections, n, lattice._permutations)
 
 
 def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
@@ -356,6 +384,8 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     Returns orbits as tuples of the TorusPoints of
     :func:`enumerate_roots_of_z`, ordered by first appearance there.
     """
+    _check_n(n)
+    _refuse_above_cap(n)
     t = lattice.central_coweight(z)
     points = enumerate_roots_of_z(lattice, z, n, t)
     partition = _root_orbits(lattice, t, n)
@@ -428,12 +458,8 @@ def cross_check(
     )
 
     lattice = build_coweight_lattice(spec)
-    t = lattice.key_coweight(key)
+    t, zeta = lattice._central(key)
     torus_partition = _root_orbits(lattice, t, n)
-    orbit_of = {}
-    for oi, orbit in enumerate(torus_partition):
-        orbit_of.update(dict.fromkeys(orbit, oi))
-    zeta = mat_vec(lattice.scaled_inverse, t)
 
     kac_sizes = tuple(len(o.members) for o in kac_orbits)
     torus_sizes = tuple(len(o) for o in torus_partition)
@@ -449,7 +475,7 @@ def cross_check(
                 "maps outside the root set"
             )
             break
-        target = orbit_of[index]
+        target = _orbit_containing(torus_partition, index)
         if target in used:
             failure = (
                 f"classes {used[target]} and {ci} both map to torus orbit "
@@ -476,3 +502,14 @@ def cross_check(
         ok=failure is None,
         failure=failure,
     )
+
+
+def _orbit_containing(partition: list, k: int) -> int:
+    """Position in ``partition`` (sorted orbits, by smallest member) of the orbit of ``k``."""
+    for oi, orbit in enumerate(partition):
+        if orbit[0] > k:
+            break
+        j = bisect_left(orbit, k)
+        if j < len(orbit) and orbit[j] == k:
+            return oi
+    raise InternalCheckError(f"root {k} lies in no torus orbit")

@@ -220,3 +220,40 @@ def test_spec_document_round_trip():
                 {"components": ["D6"], "generators": [5]}):
         with pytest.raises(SpecError):
             spec_from_document(bad)
+
+
+def _coset_loop_closure(gens, rank, den):
+    """The subgroup of (Z/den)^rank generated by gens: a coset pass per generator."""
+    out = {(0,) * rank}
+    for g in gens:
+        coset = list(out)
+        while True:
+            coset = [tuple([(a + b) % den for a, b in zip(v, g)]) for v in coset]
+            if coset[0] in out:
+                break
+            out.update(coset)
+    return out
+
+
+def test_int_closure_matches_coset_loop():
+    # _int_closure skips a generator already in the subgroup; the reference
+    # runs a coset pass for every generator.  The doubled lists skip every
+    # repeated generator.
+    from conftest import simple_types
+    from kacoh.lattice import _int_closure, _scaled
+
+    specs = [
+        spec
+        for comps in (("A1",) * 4, ("A3", "A3"), ("D4", "D4"))
+        for spec in all_intermediate_specs(comps)
+    ]
+    for typ in simple_types(12):
+        specs += [preset_spec(f"sc:{typ}"), preset_spec(f"ad:{typ}")]
+    specs += [preset_spec(f"halfspin:D{r}") for r in range(4, 13, 2)]
+    specs += [preset_spec(f"so:{f}{r}") for f in "BD" for r in range(4, 13)]
+    assert len(specs) == 67 + 15 + 67 + 2 * 49 + 5 + 18
+    for spec in specs:
+        den, gens = _scaled(spec.generators)
+        rank = spec.total_rank
+        for gs in (gens, gens + gens[::-1]):
+            assert _int_closure(gs, rank, den) == _coset_loop_closure(gs, rank, den), spec

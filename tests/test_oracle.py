@@ -22,7 +22,7 @@ from kacoh.oracle import (
     enumerate_roots_of_z,
     weyl_orbit_count,
 )
-from kacoh.rootdata import BudgetError, InternalCheckError, SimpleType, SpecError
+from kacoh.rootdata import BudgetError, InternalCheckError, LabelingError, SimpleType, SpecError
 
 
 def test_lattice_bases_a1():
@@ -231,11 +231,15 @@ def test_budget_env_override(monkeypatch):
 def test_closure_refuses_n_above_byte_cap(monkeypatch):
     # The closure holds one byte per coefficient: n = 256 is the last n it
     # takes, whatever the budget allows.  The refusal comes before the
-    # labeling side enumerates K_n.
+    # labeling side enumerates K_n, and before weyl_orbit_count enumerates
+    # the roots.
     spec = preset_spec("sc:A1")
     z = trivial_central(spec)
     assert cross_check(spec, z, 256, budget=Budget(max_n=300)).ok
     monkeypatch.setattr(oracle, "enumerate_Kn", lambda *args: pytest.fail("K_n enumerated"))
+    monkeypatch.setattr(
+        oracle, "enumerate_roots_of_z", lambda *args: pytest.fail("roots enumerated")
+    )
     with pytest.raises(BudgetError, match="cap of 256"):
         cross_check(spec, z, 257, budget=Budget(max_n=300))
     with pytest.raises(BudgetError, match="cap of 256"):
@@ -254,8 +258,23 @@ def _per_point_permutation(a, w, v, n):
     return images
 
 
-def test_reflection_permutation_matches_per_point_reference():
-    from kacoh._orbit import _Fiber, _reflection_permutation, orbit_partition
+def _built_and_read_back(a, w, v, n, monkeypatch):
+    """The permutation of one reflection as built into a store, checked equal
+    to what a second call reads back from that store alone."""
+    from kacoh import _orbit
+
+    store = {}
+    built = _orbit._permutations([(a, w, v)], n, store)
+    (lanes,) = store.values()
+    assert lanes is None or type(lanes) is bytes
+    with monkeypatch.context() as m:
+        m.setattr(_orbit, "_reflection_lanes", lambda *args: pytest.fail("built twice"))
+        assert _orbit._permutations([(a, w, v)], n, store) == built
+    return built
+
+
+def test_reflection_permutation_matches_per_point_reference(monkeypatch):
+    from kacoh._orbit import _Fiber, _reflection_lanes, orbit_partition
 
     rng = random.Random(13)
     entry = lambda n: rng.choice((0, rng.randint(-3 * n, 3 * n)))
@@ -270,19 +289,86 @@ def test_reflection_permutation_matches_per_point_reference():
                 w = [entry(n) for _ in range(rank)]
                 v = [entry(n) for _ in range(rank)]
                 v[rng.randrange(rank)] = rng.choice((-1, 1)) * rng.randint(1, n - 1)
-                assert _reflection_permutation(a, w, v, fiber) == _per_point_permutation(
-                    a, w, v, n
-                ), (n, a, w, v)
+                assert _built_and_read_back(a, w, v, n, monkeypatch) == [
+                    _per_point_permutation(a, w, v, n)
+                ], (n, a, w, v)
                 checked += 1
             # A coroot that vanishes mod n moves no point.
-            assert _reflection_permutation(1, [1] * rank, [n, 0, -2 * n, 0][:rank], fiber) is None
+            v = [n, 0, -2 * n, 0][:rank]
+            assert _reflection_lanes(1, [1] * rank, v, fiber) is None
+            assert _built_and_read_back(1, [1] * rank, v, n, monkeypatch) == []
     assert checked == 56
     # Past 65,536 points each index takes a 4-byte lane.
     fiber = _Fiber(17, 4)
     assert (fiber.size, fiber.width) == (83_521, 4)
     for a, w, v in [(5, [1, -2, 0, 3], [0, 1, -1, 0]), (-3, [16, 0, 2, -40], [2, 0, 0, 33])]:
-        assert _reflection_permutation(a, w, v, fiber) == _per_point_permutation(a, w, v, 17)
-    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1) == [[0]]
+        assert _built_and_read_back(a, w, v, 17, monkeypatch) == [
+            _per_point_permutation(a, w, v, 17)
+        ]
+    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1, {}) == [[0]]
+
+
+def test_closure_set_up_is_shared_and_order_independent(monkeypatch):
+    # The lattice keeps each reflection permutation per (n, i, a_i mod n):
+    # the answers do not depend on which query built it, and no key is
+    # built twice on one lattice.
+    from kacoh import _orbit
+    from kacoh.lattice import spec_from_document, spec_to_document
+
+    builds = []
+    build = _orbit._reflection_lanes
+
+    def counting(a, w, v, fiber):
+        builds.append(fiber.n)
+        return build(a, w, v, fiber)
+
+    monkeypatch.setattr(_orbit, "_reflection_lanes", counting)
+    a1_cubed = all_intermediate_specs(("A1", "A1", "A1"))
+    assert len(a1_cubed) == 16
+    specs = [preset_spec("sc:A3"), *a1_cubed, preset_spec("sc:E7")]
+    runs = [
+        (k, j, n)
+        for k, spec in enumerate(specs)
+        for j in range(len(enumerate_center(spec)))
+        for n in (1, 2, 3)
+    ]
+
+    def sweep(specs, order):
+        return {
+            (k, j, n): cross_check(specs[k], enumerate_center(specs[k])[j], n).as_document()
+            for k, j, n in order
+        }
+
+    forward = sweep(specs, runs)
+    expected = 0
+    for spec in specs:
+        lattice = build_coweight_lattice(spec)
+        keys = {
+            (n, i, a % n)
+            for z in enumerate_center(spec)
+            for i, a in enumerate(lattice.central_coweight(z))
+            for n in (1, 2, 3)
+        }
+        assert set(lattice._permutations) == keys, spec
+        expected += len(keys)
+    assert len(builds) == expected
+    assert sweep(specs, runs[::-1]) == forward
+    assert len(builds) == expected
+    fresh = [spec_from_document(spec_to_document(spec)) for spec in specs]
+    assert sweep(fresh, runs[::-1]) == forward
+    assert len(builds) == 2 * expected
+
+
+def test_closure_refuses_n_below_one():
+    spec = preset_spec("sc:A2")
+    lattice = build_coweight_lattice(spec)
+    z = trivial_central(spec)
+    for n in (0, -1):
+        with pytest.raises(LabelingError, match=f"n must be positive, got {n}"):
+            weyl_orbit_count(lattice, z, n)
+        with pytest.raises(LabelingError, match=f"n must be positive, got {n}"):
+            enumerate_roots_of_z(lattice, z, n)
+    assert not lattice._permutations
 
 
 def test_product_sweep_rank4():
