@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import itemgetter, sub
 
 from .diagram import ExtendedDiagram, fundamental_group
@@ -183,16 +182,6 @@ def real_form_table(typ: SimpleType) -> tuple:
 # Structured documents
 
 
-def _point_strs(point: TorusPoint) -> list:
-    """``num/den`` of each coordinate, each reduced by its own gcd."""
-    d = point.denominator
-    out = []
-    for x in point.numerators:
-        g = gcd(x, d)
-        out.append(f"{x // g}/{d // g}")
-    return out
-
-
 def _orbit_doc(orbit: LabelingOrbit, diagram: ExtendedDiagram) -> dict:
     """The document of one class; label lists are the labelings' own tuples."""
     return {
@@ -232,10 +221,11 @@ def h1_document(result: H1Result) -> dict:
 
 def roots_document(result: RootsResult, spec: GroupSpec) -> dict:
     diagram = spec.diagram()
+    lattice = spec.derived(CoweightLattice)
     classes = []
     for orbit, point in zip(result.classes, result.torus_points):
         doc = _orbit_doc(orbit, diagram)
-        doc["torus_point"] = _point_strs(point)
+        doc["torus_point"] = lattice.point_texts(point)
         classes.append(doc)
     return {
         "spec": spec_to_document(spec),

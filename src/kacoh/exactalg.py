@@ -2,17 +2,18 @@
 
 Everything in this package is rational and never touches floating point.
 Matrices are tuples of row tuples; basis lattices are handled as lists of
-column vectors.  The lattice routines (Hermite form, congruence lattice,
-reduction modulo a basis, basis coefficients) take and return integers
-only: callers pass data already held in integers, such as the X/Q
-generator rows of :func:`kacoh.lattice.generator_rows`, so nothing here
-scales Fractions.  Reduction and coefficient solving take a triangular basis
+column vectors.  The lattice routines (Hermite form of a lattice that
+contains ``scale * Z^dim``, reduction modulo a basis, basis coefficients)
+take and return integers only: callers pass data already held in integers,
+such as the scaled coweights of :class:`kacoh.oracle.CoweightLattice`, so
+nothing here scales Fractions.  Reduction and coefficient solving take a triangular basis
 as its :func:`triangular_form`, so they touch only its nonzero entries.  The
 small helpers accept ints and Fractions alike.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 Vec = tuple
@@ -52,70 +53,59 @@ def block_diag(blocks: Sequence[Sequence[Sequence]]) -> Mat:
     return tuple(rows)
 
 
-def column_style_hermite(columns: Sequence[Sequence[int]]) -> list[Vec]:
-    """Hermite form of the integer lattice spanned by ``columns``.
+def hermite_mod(columns: Sequence[Sequence[int]], scale: int, dim: int) -> list[Vec]:
+    """Hermite form of the lattice spanned by ``scale * Z^dim`` and ``columns``.
 
-    Returns the list of nonzero reduced columns (pivots positive, entries
-    above each pivot zero, entries in the pivot row to the left reduced into
-    ``[0, pivot)``).
+    Column-style: lower triangular, pivots positive, and the entries left of
+    each pivot reduced into ``[0, pivot)``.  The lattice contains every
+    ``scale * e_i``, so every entry below the diagonal is taken mod
+    ``scale`` and a row whose pivot is ``scale`` needs no work: its column is
+    ``scale * e_i``.  The other columns are the few ``extra`` ones, zero
+    above the current row.  At row ``i`` a Euclid leaves one of them with a
+    nonzero entry ``a``; with ``scale * e_i`` it spans the pivot column, of
+    entry ``d = gcd(a, scale)``, and one carry column that vanishes at row
+    ``i``.
     """
-    cols = [list(c) for c in columns]
-    ncols = len(cols)
-    nrows = len(cols[0]) if cols else 0
-    pivot = 0
-    for row in range(nrows):
-        live = [j for j in range(pivot, ncols) if cols[j][row] != 0]
-        if not live:
-            continue
-        # Euclid on the live columns until a single nonzero entry remains.
+    extra = [[x % scale for x in c] for c in columns]
+    basis = []
+    for i in range(dim):
+        live = [c for c in extra if c[i]]
         while len(live) > 1:
-            live.sort(key=lambda j: abs(cols[j][row]))
-            j0 = live[0]
-            rest = []
-            for j in live[1:]:
-                q = cols[j][row] // cols[j0][row]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-                if cols[j][row] != 0:
-                    rest.append(j)
-            live = [j0] + rest
-        j0 = live[0]
-        cols[pivot], cols[j0] = cols[j0], cols[pivot]
-        if cols[pivot][row] < 0:
-            cols[pivot] = [-a for a in cols[pivot]]
-        # Canonical reduction of earlier columns in this pivot row.
-        for j in range(pivot):
-            q = cols[j][row] // cols[pivot][row]
+            live.sort(key=lambda c: c[i])
+            c0 = live[0]
+            for c in live[1:]:
+                q = c[i] // c0[i]
+                c[i:] = [(a - q * b) % scale for a, b in zip(c[i:], c0[i:])]
+            live = [c0] + [c for c in live[1:] if c[i]]
+        if not live:
+            basis.append([0] * i + [scale] + [0] * (dim - i - 1))
+            continue
+        g = live[0]
+        a = g[i]
+        d = gcd(a, scale)
+        x = pow(a // d, -1, scale // d)
+        basis.append([0] * i + [d] + [x * b % scale for b in g[i + 1:]])
+        carry = [0] * (i + 1) + [scale // d * b % scale for b in g[i + 1:]]
+        extra = [c for c in extra if c is not g and any(c)]
+        if any(carry):
+            extra.append(carry)
+    # Entries left of a pivot d < scale into [0, d); the others already are.
+    for k, col in enumerate(basis):
+        d = col[k]
+        if d == scale:
+            continue
+        for left in basis[:k]:
+            q = left[k] // d
             if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[pivot])]
-        pivot += 1
-    return [tuple(c) for c in cols[:pivot]]
-
-
-def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) -> list[Vec]:
-    """Hermite basis of {t in Z^dim : rows @ t == 0 (mod modulus)}.
-
-    The columns ``(rows @ e_i ; e_i)`` and ``(modulus * e_j ; 0)`` span the
-    vectors ``(rows @ t + modulus * k ; t)``.  Their Hermite columns that
-    vanish on the first ``len(rows)`` coordinates span those with
-    ``rows @ t + modulus * k == 0``, so their last ``dim`` coordinates are the
-    Hermite basis of the congruence lattice.
-    """
-    m = len(rows)
-    columns = [
-        tuple(r[i] for r in rows) + tuple(int(i == j) for j in range(dim))
-        for i in range(dim)
-    ] + [
-        tuple(modulus * int(i == j) for i in range(m)) + (0,) * dim
-        for j in range(m)
-    ]
-    return [c[m:] for c in column_style_hermite(columns) if not any(c[:m])]
+                left[k:] = [(a - q * b) % scale for a, b in zip(left[k:], col[k:])]
+    return [tuple(c) for c in basis]
 
 
 def triangular_form(basis: Sequence[Sequence[int]]) -> tuple:
     """The nonzero entries of a lower triangular column basis, column by column.
 
     ``basis`` is lower triangular with positive diagonal, as produced by
-    :func:`column_style_hermite` on a full-rank lattice.  Column ``i`` becomes
+    :func:`hermite_mod`.  Column ``i`` becomes
     ``(pivot, below)``: its diagonal entry and the ``(row, entry)`` pairs of
     its nonzero entries below the diagonal.
     """

@@ -16,9 +16,11 @@ the tail, so the all-zero labeling with 2 at the extra vertex is
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .diagram import (
     ExtendedDiagram,
@@ -27,7 +29,7 @@ from .diagram import (
     permuted_labels,
 )
 from .lattice import CentralElement, GroupSpec, _frac_mod1, central_key, generator_rows
-from .rootdata import InternalCheckError, LabelingError
+from .rootdata import BudgetError, InternalCheckError, LabelingError
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -43,57 +45,132 @@ class LabelingOrbit:
     stabilizer_order: int
 
 
-def _component_solutions(diagram: ExtendedDiagram, k: int, n: int) -> list:
-    """All solutions of the weighted sum on one component, lexicographic.
+def _component_solutions(diagram: ExtendedDiagram, k: int, n: int, columns, m: int) -> list:
+    """All ``(labels, key)`` solutions of the weighted sum on one component, lexicographic.
 
     One label list is filled in place and copied into a tuple once per
     solution, so the work is linear in the output.  A call places the next
     nonzero label: the further right it sits, the more leading zeros and
     the earlier the solution, and the extra vertex, last in slot order with
     mark 1, takes whatever weight remains.  The recursion is as deep as the
-    solution has nonzero labels, not as the diagram is long.
+    solution has nonzero labels, not as the diagram is long.  ``key`` holds
+    the component's row sums mod ``m``: each unit placed on a slot adds the
+    slot's ``columns`` entry once, and the extra vertex adds nothing.
     """
-    marks = [diagram.marks[s] for s in diagram.component_slots(k)]
+    slots = diagram.component_slots(k)
+    marks = [diagram.marks[s] for s in slots]
+    steps = [columns[s] if any(columns[s]) else None for s in slots]
     last = len(marks) - 1
     labels = [0] * len(marks)
     out = []
 
-    def fill(start: int, remaining: int) -> None:
+    def fill(start: int, remaining: int, key: tuple) -> None:
         # Invariant: labels[start:] are 0 on entry and on return.
         labels[last] = remaining
-        out.append(tuple(labels))
+        out.append((tuple(labels), key))
         labels[last] = 0
         for j in range(last - 1, start - 1, -1):
-            m = marks[j]
-            for value in range(1, remaining // m + 1):
+            mark, step = marks[j], steps[j]
+            placed = key
+            for value in range(1, remaining // mark + 1):
                 labels[j] = value
-                rest = remaining - m * value
+                if step is not None:
+                    placed = tuple([(a + b) % m for a, b in zip(placed, step)])
+                rest = remaining - mark * value
                 if rest:
-                    fill(j + 1, rest)
+                    fill(j + 1, rest, placed)
                 else:
-                    out.append(tuple(labels))
+                    out.append((tuple(labels), placed))
             labels[j] = 0
 
-    fill(0, n)
+    fill(0, n, (0,) * len(columns[0]))
     return out
 
 
-def enumerate_Kn(diagram: ExtendedDiagram, n: int) -> list:
+MAX_LABELINGS = 10 ** 6
+_BUDGET_VARIABLE = "KACOH_MAX_LABELINGS"
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        if _ASCII_INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise BudgetError(f"{name} must be an integer, got {text!r}")
+
+
+def count_Kn(diagram: ExtendedDiagram, n: int) -> int:
+    """|K_n| without enumerating it.
+
+    Per component the coefficient of ``t^n`` in the product of
+    ``1 / (1 - t^mark)`` over its vertices, multiplied over the components.
+    """
+    total = 1
+    for k in range(len(diagram.components)):
+        ways = [1] + [0] * n
+        for s in diagram.component_slots(k):
+            mark = diagram.marks[s]
+            for w in range(mark, n + 1):
+                ways[w] += ways[w - mark]
+        total *= ways[n]
+    return total
+
+
+def _check_budget(diagram: ExtendedDiagram, n: int) -> None:
+    """Refuse a K_n larger than the budget, before anything is enumerated.
+
+    The labelings with one nonzero root label number ``sum floor(n / mark)``
+    per component, so when their product already exceeds the budget, K_n
+    is refused without running :func:`count_Kn`, whose work grows with n.
+    """
+    budget = _env_int(_BUDGET_VARIABLE, MAX_LABELINGS)
+    floor = 1
+    for k in range(len(diagram.components)):
+        floor *= 1 + sum(n // diagram.marks[s] for s in diagram.component_slots(k)[:-1])
+    if floor > budget:
+        size = f"at least {floor}"
+    else:
+        size = count_Kn(diagram, n)
+        if size <= budget:
+            return
+    raise BudgetError(
+        f"refusing to enumerate K_{n}: {size} labelings, above the budget of "
+        f"{budget} ({_BUDGET_VARIABLE})"
+    )
+
+
+def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
     """Every Kac n-labeling, in lexicographic order of the flat label tuple.
 
     Each component's solutions are lexicographic over its own block of
     slots and the blocks are laid out in component order, so their product
-    is already lexicographic.
+    is already lexicographic.  With ``congruence``, the ``(m, columns)`` of
+    :func:`_slot_columns`, the list holds ``(key, labeling)`` pairs, each
+    key the labeling's :func:`residue_key`, carried by the enumeration as it
+    places labels.  A K_n of more than ``KACOH_MAX_LABELINGS`` labelings
+    (default 10**6) raises BudgetError before any is built.
     """
     if n < 1:
         raise LabelingError(f"n must be positive, got {n}")
+    _check_budget(diagram, n)
+    m, columns = congruence or (1, ((),) * diagram.num_vertices)
     per_component = [
-        _component_solutions(diagram, k, n) for k in range(len(diagram.components))
+        _component_solutions(diagram, k, n, columns, m) for k in range(len(diagram.components))
     ]
-    return [
-        KacLabeling(labels=sum(combo, ()), n=n)
-        for combo in itertools.product(*per_component)
-    ]
+    if len(per_component) == 1:
+        solutions = per_component[0]
+    else:
+        solutions = [
+            (sum(labels, ()), tuple([sum(x) % m for x in zip(*keys)]))
+            for labels, keys in (zip(*combo) for combo in itertools.product(*per_component))
+        ]
+    if congruence is None:
+        return [KacLabeling(labels, n) for labels, _ in solutions]
+    return [(key, KacLabeling(labels, n)) for labels, key in solutions]
 
 
 def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
@@ -110,23 +187,39 @@ def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeli
 def _congruence_rows(spec: GroupSpec) -> tuple:
     """``(m, rows)``: the generator rows mod ``m`` placed on the diagram.
 
-    ``m`` and the integer generators are those of :func:`generator_rows`;
-    each row lists the pairs ``(slot, c)`` with nonzero ``c`` over the root
-    vertices, so ``labeling_weight`` times ``m`` is the row's dot product
-    mod ``m``.
+    ``m`` and the integer generators are those of :func:`generator_rows`.
+    Each row is a ``(pick, coefficients)`` pair over its nonzero entries at
+    the root vertices: ``pick`` reads those slots' labels, so
+    ``labeling_weight`` times ``m`` is
+    ``sum(map(mul, pick(labels), coefficients))`` mod ``m``.
     """
     m, gens = generator_rows(spec)
     slots = spec.diagram().pi_slots()
-    rows = tuple(
-        tuple((slot, c) for slot, c in zip(slots, gen) if c) for gen in gens
-    )
-    return m, rows
+    rows = []
+    for gen in gens:
+        picked = [s for s, c in zip(slots, gen) if c]
+        # One slot is read as a slice, so that pick always returns a tuple.
+        pick = itemgetter(*picked) if len(picked) > 1 else itemgetter(slice(picked[0], picked[0] + 1))
+        rows.append((pick, tuple(c for c in gen if c)))
+    return m, tuple(rows)
+
+
+def _slot_columns(spec: GroupSpec) -> tuple:
+    """``(m, columns)``: per slot of the diagram, its coefficient in each
+    generator row mod ``m``, zero at the extra vertices; the ``congruence``
+    of :func:`enumerate_Kn`."""
+    m, gens = generator_rows(spec)
+    diagram = spec.diagram()
+    columns = [(0,) * len(gens)] * diagram.num_vertices
+    for slot, column in zip(diagram.pi_slots(), zip(*gens)):
+        columns[slot] = column
+    return m, tuple(columns)
 
 
 def residue_key(spec: GroupSpec, labels) -> tuple:
     """The congruence class of a labeling: its row sums mod ``m``."""
     m, rows = spec.derived(_congruence_rows)
-    return tuple(sum(c * labels[s] for s, c in row) % m for row in rows)
+    return tuple([sum(map(mul, pick(labels), coefficients)) % m for pick, coefficients in rows])
 
 
 def _congruent(labelings, spec: GroupSpec, key) -> list:
@@ -136,7 +229,10 @@ def _congruent(labelings, spec: GroupSpec, key) -> list:
     return [
         p
         for p in labelings
-        if all(sum(c * p.labels[s] for s, c in row) % m == t for row, t in checks)
+        if all(
+            sum(map(mul, pick(p.labels), coefficients)) % m == t
+            for (pick, coefficients), t in checks
+        )
     ]
 
 
@@ -169,6 +265,8 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
     by_labels = {p.labels: p for p in labelings}
     if len(by_labels) != len(labelings):
         raise LabelingError("duplicate labelings in orbit input")
+    if group.order == 1:
+        return [LabelingOrbit(p, (p,), 1) for _, p in sorted(by_labels.items())]
     # The first action is the identity's, which moves nothing.
     actions = group.label_actions[1:]
     done = set()
@@ -220,8 +318,9 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
     ``key`` names the class: the :func:`residue_key` of its labelings, or
     the :func:`kacoh.lattice.central_key` of their central element.  The
     first call for ``(spec, n)`` enumerates K_n with
-    ``enumerate_all(diagram, n)`` and splits it, in one pass, into buckets
-    by :func:`residue_key`.  The first call for a key keeps
+    ``enumerate_all(diagram, n, congruence)`` and splits it, in one pass,
+    into buckets by the :func:`residue_key` that the enumeration carries
+    with each labeling.  The first call for a key keeps
     ``classify(bucket)``, which must be the orbits of the bucket's
     labelings under the coweight classes of X, and drops the bucket.  The
     orbits must cover the bucket exactly; anything else is an internal
@@ -237,8 +336,8 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
         buckets, classes = tables[n]
     except KeyError:
         buckets = {}
-        for p in enumerate_all(spec.diagram(), n):
-            buckets.setdefault(residue_key(spec, p.labels), []).append(p)
+        for residue, p in enumerate_all(spec.diagram(), n, spec.derived(_slot_columns)):
+            buckets.setdefault(residue, []).append(p)
         buckets, classes = tables.setdefault(n, (buckets, {}))
     try:
         return classes[key]

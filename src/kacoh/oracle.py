@@ -2,9 +2,10 @@
 
 The torus is the rational span of the coroots modulo the cocharacter
 lattice of X.  This module realizes that lattice concretely from the
-annihilator condition (by integer linear algebra on the congruence system,
-deliberately not reusing the coset computation of :mod:`kacoh.lattice`),
-enumerates the n-th roots of a central element exactly, closes them under
+annihilator condition: the coroots and the coweight classes whose pairings
+with the generator rows of X/Q vanish, found from the marks of
+:func:`kacoh.rootdata.cartan_data` and deliberately not from the coset
+computation of :mod:`kacoh.lattice`.  It then enumerates the n-th roots of a central element exactly, closes them under
 the simple reflections, and compares class counts and representatives with
 the labeling pipeline point by point.
 
@@ -28,26 +29,24 @@ coefficients.
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ._orbit import MAX_N, orbit_partition
 from .exactalg import (
     basis_coefficients,
     block_diag,
-    column_style_hermite,
-    congruence_lattice,
+    hermite_mod,
     mat_vec,
     reduce_mod_basis,
     triangular_form,
 )
 from .labelings import (
-    _ASCII_INT,
     KacLabeling,
+    _env_int,
     congruence_classes,
     enumerate_Kn,
     filter_for_central,
@@ -100,18 +99,6 @@ class Budget:
         )
 
 
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        if _ASCII_INT.fullmatch(text):
-            return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise BudgetError(f"{name} must be an integer, got {text!r}")
-
-
 class CoweightLattice:
     """The cocharacter lattice of X inside the coweight lattice.
 
@@ -140,8 +127,7 @@ class CoweightLattice:
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        rank = spec.total_rank
-        self.rank = rank
+        self.rank = spec.total_rank
         blocks = [cartan_data(t) for t in spec.components]
         self.cartan = block_diag([d.cartan for d in blocks])
         # The inverse Cartan matrix of a block is adjugate / det; its entries
@@ -156,21 +142,16 @@ class CoweightLattice:
         # (label slot, scale * fundamental coweight) per simple coroot.
         self._coweights = tuple(zip(spec.diagram().pi_slots(), zip(*self.scaled_inverse)))
 
-        # {t integer : sum_j c_j t_j in Z for all generators c}, in the
-        # coordinates of the coweight basis.
         self._modulus, self._rows = generator_rows(spec)
-        tbasis = congruence_lattice(self._rows, self._modulus, rank)
-        self.coweight_basis = tuple(tbasis)  # columns, coweight coordinates
-
-        hnf = column_style_hermite([mat_vec(self.scaled_inverse, t) for t in tbasis])
-        if len(hnf) != rank:
-            raise InternalCheckError("cocharacter lattice is not full rank")
+        hnf = self._coroot_hermite(blocks)
         for i, col in enumerate(hnf):
-            if any(col[k] != 0 for k in range(i)) or col[i] <= 0:
+            if any(col[:i]) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
         self.hnf = tuple(hnf)
+        self._box = self._coweight_box()
         self._centrals = {}     # central key -> (t, zeta)
         self._permutations = {}  # orbit_partition's store
+        self._texts = {}        # denominator -> point_texts table
 
     @cached_property
     def triangular(self) -> tuple:
@@ -240,6 +221,18 @@ class CoweightLattice:
             index = index * p.n + d % p.n
         return index
 
+    def point_texts(self, point: TorusPoint) -> list:
+        """``num/den`` of each coordinate of a reduced point, in lowest terms.
+
+        Read from a table of the texts of ``0/d .. (d-1)/d``, built once per
+        denominator ``d``: the reduced numerators lie in ``[0, d)``.
+        """
+        d = point.denominator
+        texts = self._texts.get(d)
+        if texts is None:
+            texts = self._texts[d] = [f"{x // g}/{d // g}" for x in range(d) for g in [gcd(x, d)]]
+        return list(map(texts.__getitem__, point.numerators))
+
     def index_over_coroots(self) -> int:
         covolume = 1
         for i, col in enumerate(self.hnf):
@@ -275,16 +268,85 @@ class CoweightLattice:
             found = self._centrals[key] = (t, mat_vec(self.scaled_inverse, t))
         return found
 
+    def _coroot_hermite(self, blocks) -> list:
+        """The scaled Hermite basis of X^vee, from the coroots and a few coweight classes.
+
+        X^vee is spanned by the coroots, ``scale * e_i`` in this scaling,
+        and the coweight classes whose pairings with the generators of X/Q
+        vanish.  A class is named by its tags (per component none or a
+        mark-1 vertex), its coweight is the sum of the tagged fundamental
+        coweights, and its pairings are the sums of the generator rows at
+        the tags.  The classes are tried in tag order until the basis spans
+        as many classes as vanish, and a class is kept only when it enlarges
+        the basis, so a cyclic X^vee / Q^vee costs one column
+        (:func:`kacoh.exactalg.hermite_mod`).
+        """
+        modulus, rows, scale, rank = self._modulus, self._rows, self.scale, self.rank
+        offsets = itertools.accumulate((d.rank for d in blocks), initial=0)
+        choices = [
+            [None] + [off + j for j, mark in enumerate(d.marks[:-1]) if mark == 1]
+            for off, d in zip(offsets, blocks)
+        ]
+        classes = [
+            slots
+            for tags in itertools.product(*choices)
+            for slots in [[s for s in tags if s is not None]]
+            if not any(sum(row[s] for s in slots) % modulus for row in rows)
+        ]
+        hnf = hermite_mod([], scale, rank)
+        columns, spanned = [], 1
+        for slots in classes[1:]:  # the first is the identity's
+            if spanned == len(classes):
+                break
+            column = [sum(x) for x in zip(*(self._coweights[s][1] for s in slots))]
+            grown = hermite_mod(columns + [column], scale, rank)
+            order = prod(scale // col[i] for i, col in enumerate(grown))
+            if order > spanned:
+                columns.append(column)
+                hnf, spanned = grown, order
+        if spanned != len(classes):
+            raise InternalCheckError("coweight classes do not span the cocharacter lattice")
+        return hnf
+
+    def _coweight_box(self) -> tuple:
+        """Per coweight coordinate ``i``, the range of ``t_i`` in :meth:`_search_coweight`.
+
+        The order of column ``i`` of the generator rows in ``(Z/m)^k``
+        modulo the subgroup that the later columns generate, found from the
+        last column to the first.  Every coweight class modulo X^vee has
+        exactly one ``t`` in the box.
+        """
+        modulus, rows = self._modulus, self._rows
+        zero = (0,) * len(rows)
+        spanned = {zero}
+        box = []
+        for column in reversed(list(zip(*rows)) or [zero] * self.rank):
+            order, multiple = 1, column
+            while multiple not in spanned:
+                order += 1
+                multiple = tuple([(a + b) % modulus for a, b in zip(multiple, column)])
+            if order > 1:
+                spanned = {
+                    tuple([(a + k * b) % modulus for a, b in zip(v, column)])
+                    for v in spanned
+                    for k in range(order)
+                }
+            box.append(order)
+        return tuple(reversed(box))
+
     def _search_coweight(self, key: tuple) -> tuple:
         modulus = self._modulus
-        checks = tuple(zip(self._rows, key))
-        diag = [int(col[i]) for i, col in enumerate(self.coweight_basis)]
-        for t in itertools.product(*(range(d) for d in diag)):
+        free = [i for i, d in enumerate(self._box) if d > 1]
+        checks = tuple(([row[i] for i in free], target) for row, target in zip(self._rows, key))
+        for values in itertools.product(*(range(self._box[i]) for i in free)):
             if all(
-                (sum(c * ti for c, ti in zip(row, t)) - target) % modulus == 0
+                (sum(c * v for c, v in zip(row, values)) - target) % modulus == 0
                 for row, target in checks
             ):
-                return t
+                t = [0] * self.rank
+                for i, v in zip(free, values):
+                    t[i] = v
+                return tuple(t)
         raise InternalCheckError("central element has no representative coweight")
 
     def central_representative(self, z: CentralElement) -> tuple:

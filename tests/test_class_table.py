@@ -101,9 +101,9 @@ def test_labelings_enumerated_once_per_spec_and_n(monkeypatch):
     enumerated, decomposed = [], []
     real_enumerate, real_decompose = cohomology.enumerate_Kn, cohomology.orbit_decompose
 
-    def counting_enumerate(diagram, n):
+    def counting_enumerate(diagram, n, congruence):
         enumerated.append(n)
-        return real_enumerate(diagram, n)
+        return real_enumerate(diagram, n, congruence)
 
     def counting_decompose(labelings, group):
         decomposed.append(labelings[0] if labelings else None)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -222,6 +223,47 @@ def test_oracle_check_refuses_n_above_byte_cap():
     assert done.returncode == 5 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and "cap of 256" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_labeling_verbs_refuse_a_Kn_above_the_budget(capsys, monkeypatch):
+    # |K_20| of A30 is C(50, 20); it is counted, not enumerated.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "roots", "--spec", "sc:A30", "--z", "trivial", "--n", "20")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: refusing to enumerate K_20: 47129212243960 labelings, "
+        "above the budget of 1000000 (KACOH_MAX_LABELINGS)\n"
+    )
+    # sc:A3 has 10 labelings at n = 2: a budget of 9 refuses them on every
+    # verb that enumerates, a budget of 10 answers.
+    argvs = (
+        ("labelings", "--spec", "sc:A3", "--n", "2"),
+        ("roots", "--spec", "sc:A3", "--z", "trivial", "--n", "2"),
+        ("h1", "--spec", "sc:A3", "--q", "000/2"),
+        ("adjoint-h1", "--types", "A3"),
+    )
+    for budget, expected in (("9", 5), ("10", 0)):
+        monkeypatch.setenv("KACOH_MAX_LABELINGS", budget)
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == expected, (budget, argv)
+            if code:
+                assert out == "" and err.count("\n") == 1 and "10 labelings" in err
+    for value in ("abc", "1_0", "٣"):
+        monkeypatch.setenv("KACOH_MAX_LABELINGS", value)
+        code, out, err = run(capsys, *argvs[0])
+        assert code == 5 and out == "" and err.count("\n") == 1 and "KACOH_MAX_LABELINGS" in err
+
+
+def test_roots_at_rank_200_is_unchanged(capsys):
+    # The document's SHA-256, pinned: how the coweight lattice and the
+    # congruence keys are built must not change a byte of it.
+    code, out, _ = run(capsys, "roots", "--spec", "sc:A200", "--z", "trivial", "--n", "2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0c81a35d0aef0aadace726e0bc49ebf36241d66c90018f94e714d1c51f3debd2"
+    )
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

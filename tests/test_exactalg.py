@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 
 from conftest import simple_types
+from dense_lattice import congruence_lattice
 from kacoh.exactalg import (
     basis_coefficients,
-    congruence_lattice,
     mat_vec,
     reduce_mod_basis,
     triangular_form,

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import simple_types
 from kacoh.diagram import build_extended_diagram, fundamental_group
 from kacoh.labelings import (
     KacLabeling,
+    _slot_columns,
     act_on_labeling,
     compact_labeling,
+    count_Kn,
     enumerate_Kn,
     filter_for_central,
     filter_matching_q,
@@ -15,6 +18,7 @@ from kacoh.labelings import (
     labeling_weight,
     orbit_decompose,
     parse_labeling,
+    residue_key,
 )
 from kacoh.lattice import (
     CentralElement,
@@ -22,8 +26,9 @@ from kacoh.lattice import (
     dual_subgroup,
     enumerate_center,
     preset_spec,
+    validate_spec,
 )
-from kacoh.rootdata import InternalCheckError, LabelingError, SimpleType
+from kacoh.rootdata import BudgetError, InternalCheckError, LabelingError, SimpleType
 
 
 def D(*names):
@@ -333,3 +338,52 @@ def test_compact_labeling():
     assert q.labels[d.slot(0, 0)] == 2 and q.labels[d.slot(1, 0)] == 2
     assert sum(q.labels) == 4
 
+
+
+def _carried_keys_match(spec, n) -> int:
+    pairs = enumerate_Kn(spec.diagram(), n, spec.derived(_slot_columns))
+    assert [p for _, p in pairs] == enumerate_Kn(spec.diagram(), n), (spec, n)
+    for key, p in pairs:
+        assert key == residue_key(spec, p.labels), (spec, p)
+    return len(pairs)
+
+
+def test_enumeration_carries_the_residue_key():
+    # The K_n of test_enumeration_at_high_rank, on lattices whose generator
+    # row has a nonzero entry at every root vertex (X = P, from the first
+    # fundamental weight), and every lattice of rank <= 6 at n = 1..4.
+    for rank, n, size in ((200, 2, 202 * 201 // 2), (1000, 1, 1001)):
+        weight = tuple(F(rank - i, rank + 1) for i in range(rank))
+        assert _carried_keys_match(validate_spec([f"A{rank}"], [weight]), n) == size
+    checked = 0
+    for comps in [(t,) for t in simple_types(6)] + [
+        ("A1", "A1", "A1"), ("A3", "A1"), ("C3", "A1"), ("A2", "G2", "A1"), ("A3", "A3"),
+    ]:
+        for spec in all_intermediate_specs(comps):
+            for n in range(1, 5):
+                checked += _carried_keys_match(spec, n)
+    assert checked == 39035
+
+
+def test_count_Kn_matches_enumeration():
+    for names in [(str(t),) for t in simple_types(8)] + [("A2", "G2", "A1"), ("D4", "A1", "A1")]:
+        d = D(*names)
+        for n in range(1, 7):
+            assert count_Kn(d, n) == len(enumerate_Kn(d, n)), (names, n)
+    # C(50, 20) labelings of A30 at n = 20, counted without enumerating.
+    assert count_Kn(D("A30"), 20) == 47129212243960
+
+
+def test_enumeration_refuses_a_Kn_above_the_budget(monkeypatch):
+    d = D("A3")
+    assert count_Kn(d, 2) == 10
+    monkeypatch.setenv("KACOH_MAX_LABELINGS", "10")
+    assert len(enumerate_Kn(d, 2)) == 10
+    monkeypatch.setenv("KACOH_MAX_LABELINGS", "9")
+    with pytest.raises(BudgetError, match="K_2: 10 labelings, above the budget of 9"):
+        enumerate_Kn(d, 2)
+    monkeypatch.delenv("KACOH_MAX_LABELINGS")
+    # An n whose single-label labelings alone pass the budget is refused
+    # before anything of size n is built.
+    with pytest.raises(BudgetError, match="at least 10000000000000000000001 labelings"):
+        enumerate_Kn(D("A1"), 10 ** 22)

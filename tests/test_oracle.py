@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import simple_types
+from dense_lattice import dense_coweight_hnf
 from kacoh import oracle
 from kacoh.lattice import (
     CentralElement,
@@ -499,7 +500,8 @@ def _reference_central_coweight(lattice, z):
     from kacoh.lattice import _frac_mod1, check_central
 
     check_central(lattice.spec, z)
-    diag = [int(col[i]) for i, col in enumerate(lattice.coweight_basis)]
+    _, coweight_basis = dense_coweight_hnf(lattice)
+    diag = [int(col[i]) for i, col in enumerate(coweight_basis)]
     for t in itertools.product(*(range(d) for d in diag)):
         if all(
             _frac_mod1(sum(c * ti for c, ti in zip(gen, t))) == val
@@ -572,3 +574,52 @@ def test_phi_is_equivariant():
                 for g in sub.elements:
                     moved = act_on_labeling(g, p)
                     assert orbit_of[phi(moved, spec, lattice)] == base
+
+
+# The lattices on which the basis from the coroots is checked against the
+# dense Hermite route: every lattice of these types and products, and the
+# presets of each family to rank 12.
+_HERMITE_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "A7", "B3", "C4", "D4", "D5", "D6", "E6", "E7", "E8",
+    "F4", "G2", "A1xA1xA1", "A3xA1", "A3xA3", "D4xD4", "C3xA1", "A2xG2xA1",
+)
+
+
+def _hermite_presets():
+    for rank in range(1, 13):
+        yield f"sc:A{rank}"
+        yield f"ad:A{rank}"
+        for family, lo in (("B", 2), ("C", 2), ("D", 4)):
+            if rank >= lo:
+                yield f"sc:{family}{rank}"
+                yield f"ad:{family}{rank}"
+        if rank >= 3:
+            yield f"so:{'D' if rank >= 4 else 'B'}{rank}"
+            yield f"so:B{rank}"
+        if rank >= 4 and rank % 2 == 0:
+            yield f"halfspin:D{rank}"
+
+
+def test_coroot_basis_matches_dense_hermite_form():
+    # hnf is built from the coroots and a few coweight classes, the search
+    # box from the orders of the generator-row columns; the dense route
+    # builds both from the congruence lattice of the generator rows.
+    specs = [s for t in _HERMITE_TYPES for s in all_intermediate_specs(t.split("x"))]
+    assert len(specs) == 156
+    specs += [preset_spec(p) for p in sorted(set(_hermite_presets()))]
+    for spec in specs:
+        lattice = build_coweight_lattice(spec)
+        hnf, coweight_basis = dense_coweight_hnf(lattice)
+        assert lattice.hnf == hnf, spec
+        assert lattice._box == tuple(col[i] for i, col in enumerate(coweight_basis)), spec
+
+
+def test_coroot_basis_at_high_rank_skips_redundant_classes():
+    # ad:A400 needs one coweight class (X^vee / Q^vee is cyclic of order 401),
+    # sc:A400 none; both hnf are read off without any dense elimination.
+    ad = build_coweight_lattice(preset_spec("ad:A400"))
+    assert ad.hnf[0] == tuple(range(1, 402))[:400] and ad.index_over_coroots() == 401
+    assert all(col == (0,) * i + (401,) + (0,) * (399 - i) for i, col in enumerate(ad.hnf[1:], 1))
+    assert ad._box == (1,) * 400
+    sc = build_coweight_lattice(validate_spec(["A400"], [tuple(F(400 - i, 401) for i in range(400))]))
+    assert sc.index_over_coroots() == 1 and sc._box == (1,) * 399 + (401,)
