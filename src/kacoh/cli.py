@@ -14,13 +14,16 @@ Group specs are presets (``sc:E7``, ``ad:A1xA1``, ``halfspin:D12``,
 deterministic byte for byte for fixed inputs.
 
 Exit codes: 0 success, 2 usage, 3 bad spec, 4 bad labeling, 5 budget
-refusal, 6 internal consistency failure.
+refusal, 6 internal consistency failure, 141 stdout closed by its reader
+(as in ``kacoh ... | head``; 128 plus the number of SIGPIPE, as a shell
+reports a writer that the signal stopped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cohomology import (
@@ -65,6 +68,7 @@ EXIT_SPEC = 3
 EXIT_LABELING = 4
 EXIT_BUDGET = 5
 EXIT_INTERNAL = 6
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_spec(args) -> GroupSpec:
@@ -336,6 +340,14 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered can go nowhere;
+        # point stdout at the null device so the interpreter's last flush
+        # does not fail again on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

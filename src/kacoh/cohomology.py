@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, sub
 
-from .diagram import ExtendedDiagram, fundamental_group
+from .diagram import ExtendedDiagram
 from .labelings import (
     KacLabeling,
     LabelingOrbit,
@@ -140,7 +140,7 @@ def h1_adjoint(types) -> H1Result:
     )
     spec = validate_spec(comps, [])
     diagram = spec.diagram()
-    direct = orbit_decompose(enumerate_Kn(diagram, 2), fundamental_group(diagram))
+    direct = orbit_decompose(enumerate_Kn(diagram, 2), diagram.full_group)
     result = h1_inner_form(spec, compact_labeling(diagram))
     if tuple(direct) != result.classes:
         raise InternalCheckError(

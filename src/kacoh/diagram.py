@@ -140,6 +140,11 @@ class ExtendedDiagram:
             *(s for groups in self.display_slots for group in groups for s in group)
         )
 
+    @cached_property
+    def full_group(self) -> "FundamentalGroup":
+        """The :func:`fundamental_group` of this diagram, built on first use."""
+        return fundamental_group(self)
+
     @property
     def num_vertices(self) -> int:
         return len(self.marks)
@@ -209,6 +214,7 @@ class ExtendedDiagram:
 
 
 def build_extended_diagram(types) -> ExtendedDiagram:
+    """A new diagram; :meth:`kacoh.lattice.GroupSpec.diagram` shares one per component tuple."""
     return ExtendedDiagram(components=tuple(types))
 
 

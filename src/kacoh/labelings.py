@@ -259,8 +259,9 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
     The input must be closed under the action; a labeling escaping the set
     signals an inconsistency between a filter and the action and is reported
     as an internal error rather than patched over.  The action runs on the
-    label tuples through the group's ``label_actions``, and the orbits list
-    the input's own labelings.
+    label tuples through the group's ``label_actions``, one per element of
+    the group, so an orbit is the set of images of one labeling, found in
+    one pass; the orbits list the input's own labelings.
     """
     by_labels = {p.labels: p for p in labelings}
     if len(by_labels) != len(labelings):
@@ -269,29 +270,24 @@ def orbit_decompose(labelings, group: FundamentalGroup) -> list:
         return [LabelingOrbit(p, (p,), 1) for _, p in sorted(by_labels.items())]
     # The first action is the identity's, which moves nothing.
     actions = group.label_actions[1:]
+    inside = by_labels.keys()
     done = set()
     orbits = []
     for p in labelings:
-        if p.labels in done:
+        labels = p.labels
+        if labels in done:
             continue
-        orbit = {p.labels}
-        frontier = [p.labels]
-        while frontier:
-            cur = frontier.pop()
-            for act in actions:
-                image = act(cur)
-                if image not in by_labels:
-                    raise InternalCheckError(
-                        f"action moved {cur} to {image}, "
-                        "which is outside the filtered set"
-                    )
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
+        orbit = {act(labels) for act in actions}
+        if not inside >= orbit:
+            raise InternalCheckError(
+                f"action moved {labels} to {min(orbit - inside)}, "
+                "which is outside the filtered set"
+            )
+        orbit.add(labels)
         if group.order % len(orbit):
             raise InternalCheckError("orbit size does not divide the group order")
         done |= orbit
-        members = tuple(by_labels[labels] for labels in sorted(orbit))
+        members = tuple(map(by_labels.__getitem__, sorted(orbit)))
         orbits.append(
             LabelingOrbit(
                 representative=members[0],

@@ -30,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import lcm
 
@@ -38,7 +39,6 @@ from .diagram import (
     FundamentalGroup,
     _staircase,
     build_extended_diagram,
-    fundamental_group,
 )
 from .rootdata import SimpleType, SpecError, cartan_data
 
@@ -74,6 +74,7 @@ class GroupSpec:
             return cache.setdefault(build, build(self))
 
     def diagram(self) -> ExtendedDiagram:
+        """The extended diagram, one object for every spec of these components."""
         return self.derived(_build_diagram)
 
     def describe(self) -> str:
@@ -112,8 +113,16 @@ def _frac_mod1(x) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
+@lru_cache(maxsize=None)
+def _shared_diagram(components: tuple) -> ExtendedDiagram:
+    """One diagram per component tuple, so that every lattice of the same
+    root system shares its derived data and its ``full_group``.  Kept for
+    the life of the process, like the per-type data of ``cartan_data``."""
+    return build_extended_diagram(components)
+
+
 def _build_diagram(spec: GroupSpec) -> ExtendedDiagram:
-    return build_extended_diagram(spec.components)
+    return _shared_diagram(spec.components)
 
 
 def _scaled(vectors) -> tuple:
@@ -285,7 +294,7 @@ def _coweight_keys(spec: GroupSpec) -> dict:
 
 def _dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
     keys = spec.derived(_coweight_keys)
-    group = fundamental_group(spec.diagram())
+    group = spec.diagram().full_group
     return group.subgroup([g for g in group.elements if not any(keys[g.tags])])
 
 
@@ -353,7 +362,9 @@ def all_intermediate_specs(components) -> tuple:
     Starting from the trivial subgroup of P/Q, each subgroup found is closed
     with one more element until no new subgroup appears.  Every subgroup is
     reached: adding its elements one at a time passes only through
-    subgroups.  Ordered by subgroup size, then by sorted elements.
+    subgroups.  The elements of one coset ``e + sub`` all close ``sub`` to
+    the same subgroup, so only the first of each coset is tried.  Ordered
+    by subgroup size, then by sorted elements.
     """
     comps = tuple(
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
@@ -370,9 +381,11 @@ def all_intermediate_specs(components) -> tuple:
         grown = []
         for sub in frontier:
             gens = found[sub]
+            tried = set(sub)
             for e in elements:
-                if e in sub:
+                if e in tried:
                     continue
+                tried.update(tuple([(a + b) % den for a, b in zip(e, h)]) for h in sub)
                 bigger = frozenset(_int_closure(gens + [e], rank, den))
                 if bigger not in found:
                     found[bigger] = gens + [e]

@@ -147,6 +147,37 @@ def test_one_pass_over_Kn_per_table(monkeypatch):
     assert sum(received) <= len(enumerate_Kn(spec.diagram(), 3))
 
 
+def test_cross_check_classifies_the_keyed_bucket(monkeypatch):
+    """cross_check classifies its class's bucket as the enumeration keyed it,
+    with no second congruence filter, and finds the classes of nth_root_classes."""
+    from kacoh import labelings
+
+    calls = []
+    real = labelings._congruent
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(labelings, "_congruent", counting)
+    checked = 0
+    for preset in ("sc:A3", "ad:A3xA3", "halfspin:D6", "sc:E6", "so:B3"):
+        spec = _cold(preset_spec(preset))
+        for z in enumerate_center(spec):
+            for n in (1, 2, 3):
+                report = cross_check(spec, z, n)
+                assert report.ok, report.failure
+                assert calls == [], (preset, z, n)
+                expected = nth_root_classes(_cold(spec), z, n).classes
+                calls.clear()
+                assert report.kac_orbit_sizes == tuple(len(o.members) for o in expected)
+                checked += 1
+    assert checked == 33
+    # The counter does see the congruence filter when one runs.
+    filter_for_central(enumerate_Kn(spec.diagram(), 2), spec, z, spec.diagram())
+    assert len(calls) == 1
+
+
 def test_coverage_check_fires(monkeypatch):
     """A filter that drops a labeling of the class is an internal error."""
     real_filter = cohomology.filter_for_central

@@ -225,6 +225,28 @@ def test_oracle_check_refuses_n_above_byte_cap():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_closing_stdout_early_ends_without_traceback(fmt):
+    # About 0.4 MB of output, far more than a pipe holds, so the writer is
+    # still writing when the reader closes its end after the first line.
+    src = os.path.dirname(os.path.dirname(kacoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import sys; from kacoh.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "labelings", "--spec", "sc:A4", "--n", "24", "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"{" if fmt == "json" else b"# 20475 labelings")
+    assert err == b""
+
+
 def test_labeling_verbs_refuse_a_Kn_above_the_budget(capsys, monkeypatch):
     # |K_20| of A30 is C(50, 20); it is counted, not enumerated.
     started = time.perf_counter()

@@ -140,6 +140,23 @@ def test_spec_data_built_once():
     assert preset_spec("halfspin:D6") == spec
 
 
+def test_lattices_of_one_root_system_share_diagram_and_group():
+    sc, ad = preset_spec("sc:A3"), preset_spec("ad:A3")
+    diagram = sc.diagram()
+    assert ad.diagram() is diagram
+    assert diagram.full_group is ad.diagram().full_group
+    assert diagram.full_group.diagram is diagram
+    # Both dual subgroups are cut from that one group.
+    assert dual_subgroup(ad).elements == diagram.full_group.elements
+    assert set(dual_subgroup(sc).elements) < set(diagram.full_group.elements)
+    # build_extended_diagram, and fundamental_group of it, build anew.
+    fresh = build_extended_diagram(sc.components)
+    assert fresh == diagram and fresh is not diagram
+    assert fresh.full_group is not diagram.full_group
+    assert fresh.full_group.elements == diagram.full_group.elements
+    assert fundamental_group(diagram) is not diagram.full_group
+
+
 def test_central_values_reduced_mod_1():
     z = CentralElement(values=(F(-1), F(3, 2), 2, F(-1, 3)))
     assert z.values == (0, F(1, 2), 0, F(2, 3))
@@ -257,3 +274,57 @@ def test_int_closure_matches_coset_loop():
         rank = spec.total_rank
         for gs in (gens, gens + gens[::-1]):
             assert _int_closure(gs, rank, den) == _coset_loop_closure(gs, rank, den), spec
+
+
+def _element_loop_specs(components):
+    """all_intermediate_specs as it was first written: every subgroup is
+    closed with every element outside it, one element per coset or not."""
+    from kacoh.lattice import _fractions, _int_closure, _weight_basis, _xq_group, validate_spec
+
+    comps = tuple(SimpleType.parse(t) for t in components)
+    full = validate_spec(comps, _weight_basis(comps))
+    den, closure, _ = full.derived(_xq_group)
+    elements = sorted(closure)
+    frac = _fractions(elements, den)
+    rank = full.total_rank
+    trivial = frozenset(_int_closure([], rank, den))
+    found = {trivial: []}
+    frontier = [trivial]
+    while frontier:
+        grown = []
+        for sub in frontier:
+            gens = found[sub]
+            for e in elements:
+                if e in sub:
+                    continue
+                bigger = frozenset(_int_closure(gens + [e], rank, den))
+                if bigger not in found:
+                    found[bigger] = gens + [e]
+                    grown.append(bigger)
+        frontier = grown
+    return tuple(
+        validate_spec(comps, [frac[g] for g in gens])
+        for _, gens in sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    )
+
+
+def test_lattice_search_by_coset_matches_element_loop():
+    # Every product of simple types of total rank <= 4 (no aliases: B from
+    # rank 3, D from rank 4), then three larger groups of lattices.
+    import itertools
+
+    from conftest import simple_types
+
+    factors = [str(t) for t in simple_types(4) if t.rank >= {"B": 3, "D": 4}.get(t.family, 1)]
+    products = [
+        comps
+        for size in (1, 2, 3, 4)
+        for comps in itertools.combinations_with_replacement(factors, size)
+        if sum(SimpleType.parse(t).rank for t in comps) <= 4
+    ]
+    counts = {}
+    for comps in products + [("A1",) * 5, ("A3", "A3", "A1"), ("D4", "D4")]:
+        specs = all_intermediate_specs(comps)
+        assert specs == _element_loop_specs(comps), comps
+        counts["x".join(comps)] = len(specs)
+    assert (counts["A1xA1xA1xA1xA1"], counts["A3xA3xA1"], counts["D4xD4"]) == (374, 54, 67)
