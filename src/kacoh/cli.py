@@ -267,11 +267,18 @@ def _cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options are spelled in full: an abbreviation would be bound to
+    # whichever option it happens to prefix uniquely today.  The setting
+    # does not reach the subparsers, so ``verb`` repeats it for each.
     parser = argparse.ArgumentParser(
         prog="kacoh",
         description="Exact cohomology combinatorics of compact semisimple groups",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def verb(name, summary):
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     def add_common(p, spec_required=True):
         group = p.add_mutually_exclusive_group(required=spec_required)
@@ -284,35 +291,35 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "json"), default="text", help="output format"
         )
 
-    p = sub.add_parser("labelings", help="enumerate Kac n-labelings")
+    p = verb("labelings", "enumerate Kac n-labelings")
     add_common(p)
     p.add_argument("--n", type=_int, required=True, help="labeling level n >= 1")
     p.add_argument("--z", help="keep only labelings for this central element")
     p.add_argument("--match-q", help="keep only labelings congruent to this one")
     p.set_defaults(func=_cmd_labelings)
 
-    p = sub.add_parser("h1", help="cohomology classes of an inner twisted form")
+    p = verb("h1", "cohomology classes of an inner twisted form")
     add_common(p)
     p.add_argument("--q", required=True, help="twisting 2-labeling")
     p.set_defaults(func=_cmd_h1)
 
-    p = sub.add_parser("adjoint-h1", help="cohomology classes of the adjoint form")
+    p = verb("adjoint-h1", "cohomology classes of the adjoint form")
     add_common(p, spec_required=False)
     p.add_argument("--types", help="component types, e.g. E7 or A1xA1")
     p.set_defaults(func=_cmd_adjoint_h1)
 
-    p = sub.add_parser("roots", help="classes of n-th roots of a central element")
+    p = verb("roots", "classes of n-th roots of a central element")
     add_common(p)
     p.add_argument("--z", required=True, help="'trivial', an index, or value list")
     p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("forms", help="inner twists of one simple type")
+    p = verb("forms", "inner twists of one simple type")
     p.add_argument("--types", required=True, help="a simple type, e.g. E7")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_forms)
 
-    p = sub.add_parser("oracle-check", help="verify labeling classes against the torus")
+    p = verb("oracle-check", "verify labeling classes against the torus")
     add_common(p)
     p.add_argument("--z", default="all", help="'all' (default), 'trivial', index, or values")
     p.add_argument("--n-list", default="1,2,3", help="comma list of levels to check")

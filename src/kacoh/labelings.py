@@ -20,7 +20,6 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
 
 from .diagram import (
     ExtendedDiagram,
@@ -176,7 +175,7 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
 def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
     """Sum of generator coefficients against the labels at the root vertices.
 
-    The exact reference for the integer rows of :func:`_congruence_rows`.
+    The exact reference for the integer columns of :func:`_slot_columns`.
     """
     total = Fraction(0)
     for coeff, slot in zip(generator, diagram.pi_slots()):
@@ -184,30 +183,10 @@ def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeli
     return _frac_mod1(total)
 
 
-def _congruence_rows(spec: GroupSpec) -> tuple:
-    """``(m, rows)``: the generator rows mod ``m`` placed on the diagram.
-
-    ``m`` and the integer generators are those of :func:`generator_rows`.
-    Each row is a ``(pick, coefficients)`` pair over its nonzero entries at
-    the root vertices: ``pick`` reads those slots' labels, so
-    ``labeling_weight`` times ``m`` is
-    ``sum(map(mul, pick(labels), coefficients))`` mod ``m``.
-    """
-    m, gens = generator_rows(spec)
-    slots = spec.diagram().pi_slots()
-    rows = []
-    for gen in gens:
-        picked = [s for s, c in zip(slots, gen) if c]
-        # One slot is read as a slice, so that pick always returns a tuple.
-        pick = itemgetter(*picked) if len(picked) > 1 else itemgetter(slice(picked[0], picked[0] + 1))
-        rows.append((pick, tuple(c for c in gen if c)))
-    return m, tuple(rows)
-
-
 def _slot_columns(spec: GroupSpec) -> tuple:
     """``(m, columns)``: per slot of the diagram, its coefficient in each
-    generator row mod ``m``, zero at the extra vertices; the ``congruence``
-    of :func:`enumerate_Kn`."""
+    generator row of :func:`generator_rows` mod ``m``, zero at the extra
+    vertices; the ``congruence`` of :func:`enumerate_Kn`."""
     m, gens = generator_rows(spec)
     diagram = spec.diagram()
     columns = [(0,) * len(gens)] * diagram.num_vertices
@@ -217,35 +196,31 @@ def _slot_columns(spec: GroupSpec) -> tuple:
 
 
 def residue_key(spec: GroupSpec, labels) -> tuple:
-    """The congruence class of a labeling: its row sums mod ``m``."""
-    m, rows = spec.derived(_congruence_rows)
-    return tuple([sum(map(mul, pick(labels), coefficients)) % m for pick, coefficients in rows])
+    """The congruence class of a labeling: its row sums mod ``m``.
 
-
-def _congruent(labelings, spec: GroupSpec, key) -> list:
-    """Keep labelings whose row sums are congruent mod ``m`` to ``key``."""
-    m, rows = spec.derived(_congruence_rows)
-    checks = tuple(zip(rows, key))
-    return [
-        p
-        for p in labelings
-        if all(
-            sum(map(mul, pick(p.labels), coefficients)) % m == t
-            for (pick, coefficients), t in checks
-        )
-    ]
+    Each nonzero label adds its slot's column of :func:`_slot_columns` once
+    per unit, the step :func:`enumerate_Kn` takes as it places labels; a
+    labeling has at most n nonzero labels per component.
+    """
+    m, columns = spec.derived(_slot_columns)
+    key = [0] * len(columns[0])
+    for value, column in itertools.compress(zip(labels, columns), labels):
+        for i, c in enumerate(column):
+            key[i] += value * c
+    return tuple([a % m for a in key])
 
 
 def filter_for_central(labelings, spec: GroupSpec, z: CentralElement, diagram: ExtendedDiagram) -> list:
     """Keep labelings whose generator sums match the central element's values."""
     key = central_key(spec, z)
-    return [] if key is None else _congruent(labelings, spec, key)
+    return [] if key is None else [p for p in labelings if residue_key(spec, p.labels) == key]
 
 
 def filter_matching_q(labelings, spec: GroupSpec, q: KacLabeling, diagram: ExtendedDiagram) -> list:
     """Keep labelings congruent to q against every generator of X/Q."""
     diagram.check_labeling(q.labels, q.n)
-    return _congruent(labelings, spec, residue_key(spec, q.labels))
+    key = residue_key(spec, q.labels)
+    return [p for p in labelings if residue_key(spec, p.labels) == key]
 
 
 def act_on_labeling(g: FundamentalGroupElement, p: KacLabeling) -> KacLabeling:

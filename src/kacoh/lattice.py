@@ -27,6 +27,7 @@ dual subgroup is the classes of key zero and the center is the set of keys;
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -458,8 +459,11 @@ def preset_spec(text: str) -> GroupSpec:
 
 
 def load_spec(source: str) -> GroupSpec:
-    """Spec from a preset string or a JSON spec file path."""
-    if ":" in source and not source.lstrip().startswith("{"):
+    """Spec from a JSON spec file path or a preset string.
+
+    An existing file is read as a spec file even when its path has a ``:``.
+    """
+    if ":" in source and not source.lstrip().startswith("{") and not os.path.isfile(source):
         return preset_spec(source)
     try:
         with open(source, "rb") as fh:

@@ -384,11 +384,6 @@ def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
     return spec.derived(CoweightLattice)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise LabelingError(f"n must be positive, got {n}")
-
-
 def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=None) -> list:
     """All torus points whose n-th power is the central element.
 
@@ -401,7 +396,8 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
     :meth:`CoweightLattice.central_coweight` of ``z``, searched for when
     not given.
     """
-    _check_n(n)
+    if n < 1:
+        raise LabelingError(f"n must be positive, got {n}")
     if t is None:
         t = lattice.central_coweight(z)
     points = [mat_vec(lattice.scaled_inverse, t)]
@@ -432,10 +428,9 @@ def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
     coefficients mod n (:func:`kacoh._orbit.orbit_partition`); the group
     itself is never enumerated.  Orbits are sorted lists of positions in
     :func:`enumerate_roots_of_z`, ordered by their smallest member.  The
-    closure holds one byte per coefficient, so ``n`` above
-    :data:`kacoh._orbit.MAX_N` raises BudgetError whatever the budget.
+    closure holds one byte per coefficient, so callers refuse ``n`` above
+    :data:`kacoh._orbit.MAX_N` first, whatever the budget.
     """
-    _refuse_above_cap(n)
     reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
     return orbit_partition(range(n ** lattice.rank), reflections, n, lattice._permutations)
 
@@ -444,9 +439,9 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     """Orbits of the Weyl group on the n-th roots of a central element.
 
     Returns orbits as tuples of the TorusPoints of
-    :func:`enumerate_roots_of_z`, ordered by first appearance there.
+    :func:`enumerate_roots_of_z`, ordered by first appearance there.  An
+    ``n`` above the closure's cap is refused before any root is built.
     """
-    _check_n(n)
     _refuse_above_cap(n)
     t = lattice.central_coweight(z)
     points = enumerate_roots_of_z(lattice, z, n, t)

@@ -153,13 +153,13 @@ def test_cross_check_classifies_the_keyed_bucket(monkeypatch):
     from kacoh import labelings
 
     calls = []
-    real = labelings._congruent
+    real = labelings.residue_key
 
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counting(spec, labels):
+        calls.append(labels)
+        return real(spec, labels)
 
-    monkeypatch.setattr(labelings, "_congruent", counting)
+    monkeypatch.setattr(labelings, "residue_key", counting)
     checked = 0
     for preset in ("sc:A3", "ad:A3xA3", "halfspin:D6", "sc:E6", "so:B3"):
         spec = _cold(preset_spec(preset))
@@ -174,8 +174,9 @@ def test_cross_check_classifies_the_keyed_bucket(monkeypatch):
                 checked += 1
     assert checked == 33
     # The counter does see the congruence filter when one runs.
-    filter_for_central(enumerate_Kn(spec.diagram(), 2), spec, z, spec.diagram())
-    assert len(calls) == 1
+    kn = enumerate_Kn(spec.diagram(), 2)
+    filter_for_central(kn, spec, z, spec.diagram())
+    assert calls == [p.labels for p in kn]
 
 
 def test_coverage_check_fires(monkeypatch):

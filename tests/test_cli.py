@@ -206,6 +206,19 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["h1", "--spec", "sc:E7"])  # missing --q: usage error
     assert exc.value.code == 2
+    capsys.readouterr()
+    # Options are spelled in full: each of these abbreviates one option of
+    # its verb uniquely, and is a usage error.
+    for argv in (
+        ("oracle-check", "--spec", "sc:A2", "--z", "1/3", "--n", "2"),
+        ("h1", "--spec", "sc:E7", "--q", "000/00/002", "--form", "json"),
+        ("labelings", "--spec", "sc:A3", "--n", "2", "--match", "0,0,2,0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and err.startswith("usage: kacoh "), argv
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"), argv
 
 
 def test_oracle_check_refuses_n_above_byte_cap():
@@ -308,18 +321,17 @@ def test_alias_warning(capsys):
 
 
 def test_spec_file(tmp_path, capsys):
-    path = tmp_path / "halfspin6.json"
-    path.write_text(
-        json.dumps(
-            {
-                "components": ["D6"],
-                "generators": [["1/2", "0/1", "1/2", 0, 0, "1/2"]],
-            }
-        )
-    )
-    code, out, _ = run(capsys, "h1", "--spec", str(path), "--q", "20/000/00")
-    assert code == 0
-    assert len([l for l in out.splitlines() if l.startswith("class")]) == 5
+    doc = {"components": ["D6"], "generators": [["1/2", "0/1", "1/2", 0, 0, "1/2"]]}
+    # An existing file is a spec file even when its path has a ":".
+    for name in ("halfspin6.json", "a:b.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "h1", "--spec", str(path), "--q", "20/000/00")
+        assert code == 0
+        assert len([l for l in out.splitlines() if l.startswith("class")]) == 5
+    # A path with a ":" that names no file is parsed as a preset.
+    code, out, err = run(capsys, "h1", "--spec", str(tmp_path / "c:d.json"), "--q", "0")
+    assert code == 3 and out == "" and err == "error: cannot parse simple type 'd.json'\n"
 
 
 def test_determinism(capsys):

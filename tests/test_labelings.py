@@ -187,14 +187,18 @@ def test_filter_matching_q_adjoint_keeps_all():
 
 
 def test_integer_filters_match_fraction_reference(types_rank6):
-    # The integer rows against the exact labeling_weight sums, on every
-    # lattice of every simple type of rank <= 6 and of A1xA1xA1.
-    specs = [s for typ in types_rank6 for s in all_intermediate_specs((typ,))]
-    specs += all_intermediate_specs(("A1", "A1", "A1"))
-    for spec in specs:
+    # The integer columns against the exact labeling_weight sums: every
+    # lattice of every simple type of rank <= 6 and of A1xA1xA1 at n = 1..3
+    # with every q, and high-rank presets at n = 2 with one q per class.
+    cases = [(s, (1, 2, 3), False) for typ in types_rank6 for s in all_intermediate_specs((typ,))]
+    cases += [(s, (1, 2, 3), False) for s in all_intermediate_specs(("A1", "A1", "A1"))]
+    cases += [
+        (preset_spec(p), (2,), True) for p in ("sc:A40", "halfspin:D20", "so:D16", "sc:D4xD4")
+    ]
+    for spec, ns, sample in cases:
         d = spec.diagram()
         center = enumerate_center(spec)
-        for n in (1, 2, 3):
+        for n in ns:
             kn = enumerate_Kn(d, n)
             weights = {
                 p: tuple(labeling_weight(spec, d, gen, p) for gen in spec.generators)
@@ -203,9 +207,14 @@ def test_integer_filters_match_fraction_reference(types_rank6):
             for z in center:
                 expected = [p for p in kn if weights[p] == z.values]
                 assert filter_for_central(kn, spec, z, d) == expected, (spec, z, n)
-            for q in kn:
+            twists = {weights[q]: q for q in kn}.values() if sample else kn
+            for q in twists:
                 expected = [p for p in kn if weights[p] == weights[q]]
                 assert filter_matching_q(kn, spec, q, d) == expected, (spec, q)
+            # A twist of level 0 has no nonzero label, and the key zero.
+            zero = KacLabeling((0,) * d.num_vertices, 0)
+            expected = [p for p in kn if not any(weights[p])]
+            assert filter_matching_q(kn, spec, zero, d) == expected, (spec, n)
 
 
 def test_filter_for_central_value_outside_the_lattice():
