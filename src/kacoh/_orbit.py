@@ -45,7 +45,7 @@ def active_kernel():
     return "pure", orbit_partition
 
 
-def orbit_partition(points, reflections, n, store):
+def orbit_partition(points, reflections, n, store, numbers):
     """Partition the points of a root fiber into reflection orbits.
 
     ``points`` is ``range(n ** rank)``: point ``k`` is the coefficient
@@ -56,22 +56,23 @@ def orbit_partition(points, reflections, n, store):
     integer rows of length ``rank``.  ``n`` is at most :data:`MAX_N`.
     ``store`` keeps the permutations across calls (see :func:`_permutations`).
     Returns a list of orbits, each a sorted list of indices into ``points``,
-    ordered by their smallest member.
+    ordered by their smallest member.  The list ``numbers`` is set to each
+    point's orbit number, its orbit's position in that list.
     """
     perms = _permutations(reflections, n, store)
-    seen = bytearray(len(points))
+    numbers[:] = [None] * len(points)
     orbits = []
     for start in points:
-        if seen[start]:
+        if numbers[start] is not None:
             continue
-        seen[start] = 1
+        number = numbers[start] = len(orbits)
         orbit = [start]
         # The orbit list is also the breadth-first queue: it grows while read.
         for k in orbit:
             for perm in perms:
                 j = perm[k]
-                if not seen[j]:
-                    seen[j] = 1
+                if numbers[j] is None:
+                    numbers[j] = number
                     orbit.append(j)
         orbit.sort()
         orbits.append(orbit)

@@ -134,6 +134,8 @@ def _cmd_labelings(args) -> int:
         labelings = filter_for_central(labelings, spec, _parse_z(spec, args.z), diagram)
     if args.match_q is not None:
         q = parse_labeling(diagram, args.match_q)
+        if q.n != args.n:
+            raise LabelingError(f"--match-q has level {q.n}, not the level {args.n} of --n")
         labelings = filter_matching_q(labelings, spec, q, diagram)
     doc = {
         "spec": spec_to_document(spec),

@@ -15,11 +15,11 @@ the tail, so the all-zero labeling with 2 at the extra vertex is
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .diagram import (
     ExtendedDiagram,
@@ -146,26 +146,26 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
     """Every Kac n-labeling, in lexicographic order of the flat label tuple.
 
     Each component's solutions are lexicographic over its own block of
-    slots and the blocks are laid out in component order, so their product
-    is already lexicographic.  With ``congruence``, the ``(m, columns)`` of
-    :func:`_slot_columns`, the list holds ``(key, labeling)`` pairs, each
-    key the labeling's :func:`residue_key`, carried by the enumeration as it
-    places labels.  A K_n of more than ``KACOH_MAX_LABELINGS`` labelings
-    (default 10**6) raises BudgetError before any is built.
+    slots and the blocks are laid out in component order, so extending
+    every solution so far by each solution of the next component, in
+    order, keeps the list lexicographic.  With ``congruence``, the
+    ``(m, columns)`` of :func:`_slot_columns`, the list holds
+    ``(key, labeling)`` pairs, each key the labeling's :func:`residue_key`,
+    carried by the enumeration as it places labels and added mod ``m``
+    across components.  A K_n of more than ``KACOH_MAX_LABELINGS``
+    labelings (default 10**6) raises BudgetError before any is built.
     """
     if n < 1:
         raise LabelingError(f"n must be positive, got {n}")
     _check_budget(diagram, n)
     m, columns = congruence or (1, ((),) * diagram.num_vertices)
-    per_component = [
-        _component_solutions(diagram, k, n, columns, m) for k in range(len(diagram.components))
-    ]
-    if len(per_component) == 1:
-        solutions = per_component[0]
-    else:
+    solutions = _component_solutions(diagram, 0, n, columns, m)
+    for k in range(1, len(diagram.components)):
+        more = _component_solutions(diagram, k, n, columns, m)
         solutions = [
-            (sum(labels, ()), tuple([sum(x) % m for x in zip(*keys)]))
-            for labels, keys in (zip(*combo) for combo in itertools.product(*per_component))
+            (labels + tail, tuple([(a + b) % m for a, b in zip(key, step)]))
+            for labels, key in solutions
+            for tail, step in more
         ]
     if congruence is None:
         return [KacLabeling(labels, n) for labels, _ in solutions]
@@ -195,19 +195,21 @@ def _slot_columns(spec: GroupSpec) -> tuple:
     return m, tuple(columns)
 
 
+def _slot_rows(spec: GroupSpec) -> tuple:
+    """``(m, rows)``: the generator rows laid out on the diagram slots, the
+    transpose of the columns of :func:`_slot_columns`."""
+    m, columns = spec.derived(_slot_columns)
+    return m, tuple(zip(*columns))
+
+
 def residue_key(spec: GroupSpec, labels) -> tuple:
     """The congruence class of a labeling: its row sums mod ``m``.
 
-    Each nonzero label adds its slot's column of :func:`_slot_columns` once
-    per unit, the step :func:`enumerate_Kn` takes as it places labels; a
-    labeling has at most n nonzero labels per component.
+    Each entry is one dot product of the labels with a row of
+    :func:`_slot_rows`, which is zero at the extra vertices.
     """
-    m, columns = spec.derived(_slot_columns)
-    key = [0] * len(columns[0])
-    for value, column in itertools.compress(zip(labels, columns), labels):
-        for i, c in enumerate(column):
-            key[i] += value * c
-    return tuple([a % m for a in key])
+    m, rows = spec.derived(_slot_rows)
+    return tuple([sum(map(mul, labels, row)) % m for row in rows])
 
 
 def filter_for_central(labelings, spec: GroupSpec, z: CentralElement, diagram: ExtendedDiagram) -> list:
@@ -316,11 +318,15 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
         pass
     bucket = buckets.get(key, [])
     orbits = tuple(classify(bucket))
-    covered = sorted(m.labels for o in orbits for m in o.members)
-    if covered != sorted(p.labels for p in bucket):
+    # The bucket's labelings are distinct, so equal counts and equal sets
+    # mean the orbits cover each of them exactly once.
+    covered = [m.labels for o in orbits for m in o.members]
+    stray = {p.labels for p in bucket}.symmetric_difference(covered)
+    if stray or len(covered) != len(bucket):
         raise InternalCheckError(
             f"the orbits of class {key} at n={n} cover {len(covered)} "
             f"labelings, not the {len(bucket)} of the class"
+            + (f"; {min(stray)} is in one and not the other" if stray else "")
         )
     classes[key] = orbits
     buckets.pop(key, None)

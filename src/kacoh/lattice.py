@@ -370,7 +370,7 @@ def all_intermediate_specs(components) -> tuple:
     comps = tuple(
         t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
     )
-    full = validate_spec(comps, _weight_basis(comps))
+    full = validate_spec(comps, _weight_generators(comps))
     den, closure, _ = full.derived(_xq_group)
     elements = sorted(closure)
     frac = _fractions(elements, den)
@@ -413,6 +413,35 @@ def _weight_basis(components) -> list:
     return out
 
 
+def _weight_generators(components) -> list:
+    """Fundamental weights that generate P/Q, embedded as in :func:`_weight_basis`.
+
+    Per component, the fundamental weights in order, each kept only if it
+    enlarges the integer closure of those kept so far, until the closure
+    has the ``det`` elements of P/Q.
+    """
+    total = sum(t.rank for t in components)
+    out = []
+    offset = 0
+    for typ in components:
+        data = cartan_data(typ)
+        det, kept = data.det, []
+        closure = _int_closure(kept, typ.rank, det)
+        for row in data.adjugate:  # row j: det times weight j+1 in root coordinates
+            if len(closure) == det:
+                break
+            g = tuple([x % det for x in row])
+            if g in closure:
+                continue
+            kept.append(g)
+            closure = _int_closure(kept, typ.rank, det)
+            vec = [Fraction(0)] * total
+            vec[offset:offset + typ.rank] = [Fraction(x, det) for x in row]
+            out.append(tuple(vec))
+        offset += typ.rank
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Presets and spec files
 
@@ -436,7 +465,7 @@ def preset_spec(text: str) -> GroupSpec:
     name, _, typestr = text.partition(":")
     comps = tuple(SimpleType.parse(t) for t in typestr.split("x"))
     if name == "sc":
-        return validate_spec(comps, _weight_basis(comps))
+        return validate_spec(comps, _weight_generators(comps))
     if name == "ad":
         return validate_spec(comps, [])
     if name == "halfspin":

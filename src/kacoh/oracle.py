@@ -23,17 +23,18 @@ reflection's index permutation of the fiber is built a whole column at a
 time, with one byte per coefficient, so the closure takes ``n <= 256`` and
 refuses a larger n with BudgetError whatever the budget.  A labeling
 representative is matched by solving its alcove point for its
-coefficients.
+coefficients, and its torus orbit is read from the orbit numbers that the
+closure fills in.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import add, mul
 
 from ._orbit import MAX_N, orbit_partition
 from .exactalg import (
@@ -93,10 +94,15 @@ class Budget:
 
     @classmethod
     def from_env(cls) -> "Budget":
-        return cls(
-            max_rank=_env_int("KACOH_ORACLE_MAX_RANK", cls.max_rank),
-            max_n=_env_int("KACOH_ORACLE_MAX_N", cls.max_n),
-        )
+        return cls(*_env_limits())
+
+
+def _env_limits() -> tuple:
+    """``(max_rank, max_n)`` of :class:`Budget`, from the environment."""
+    return (
+        _env_int("KACOH_ORACLE_MAX_RANK", Budget.max_rank),
+        _env_int("KACOH_ORACLE_MAX_N", Budget.max_n),
+    )
 
 
 class CoweightLattice:
@@ -139,11 +145,16 @@ class CoweightLattice:
         self.scaled_inverse = block_diag(
             [[[x * scale // d.det for x in row] for row in d.adjugate] for d in blocks]
         )
-        # (label slot, scale * fundamental coweight) per simple coroot.
-        self._coweights = tuple(zip(spec.diagram().pi_slots(), zip(*self.scaled_inverse)))
+        # Per label slot, scale times the fundamental coweight of its simple
+        # coroot; None at the extra vertices, whose labels do not enter.
+        coweights = list(zip(*self.scaled_inverse))
+        slots = [None] * spec.diagram().num_vertices
+        for slot, coweight in zip(spec.diagram().pi_slots(), coweights):
+            slots[slot] = coweight
+        self._slot_coweights = tuple(slots)
 
         self._modulus, self._rows = generator_rows(spec)
-        hnf = self._coroot_hermite(blocks)
+        hnf = self._coroot_hermite(blocks, coweights)
         for i, col in enumerate(hnf):
             if any(col[:i]) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
@@ -184,12 +195,17 @@ class CoweightLattice:
         return self.canonical_point(coords).is_identity
 
     def _alcove_vector(self, p: KacLabeling) -> list:
-        """``n * scale`` times the alcove point of ``p``, unreduced."""
+        """``n * scale`` times the alcove point of ``p``, unreduced.
+
+        Only the nonzero labels are walked, each adding ``label`` times its
+        slot's coweight.
+        """
         x = [0] * self.rank
-        for slot, coweight in self._coweights:
-            label = p.labels[slot]
-            if label:
-                x = [a + label * b for a, b in zip(x, coweight)]
+        for label, coweight in itertools.compress(zip(p.labels, self._slot_coweights), p.labels):
+            if coweight is not None:
+                if label != 1:
+                    coweight = map(mul, coweight, itertools.repeat(label))
+                x = list(map(add, x, coweight))
         return x
 
     def alcove_point(self, p: KacLabeling) -> TorusPoint:
@@ -268,7 +284,7 @@ class CoweightLattice:
             found = self._centrals[key] = (t, mat_vec(self.scaled_inverse, t))
         return found
 
-    def _coroot_hermite(self, blocks) -> list:
+    def _coroot_hermite(self, blocks, coweights) -> list:
         """The scaled Hermite basis of X^vee, from the coroots and a few coweight classes.
 
         X^vee is spanned by the coroots, ``scale * e_i`` in this scaling,
@@ -279,7 +295,8 @@ class CoweightLattice:
         the tags.  The classes are tried in tag order until the basis spans
         as many classes as vanish, and a class is kept only when it enlarges
         the basis, so a cyclic X^vee / Q^vee costs one column
-        (:func:`kacoh.exactalg.hermite_mod`).
+        (:func:`kacoh.exactalg.hermite_mod`).  ``coweights`` holds the
+        scaled fundamental coweights, one per simple coroot.
         """
         modulus, rows, scale, rank = self._modulus, self._rows, self.scale, self.rank
         offsets = itertools.accumulate((d.rank for d in blocks), initial=0)
@@ -298,7 +315,7 @@ class CoweightLattice:
         for slots in classes[1:]:  # the first is the identity's
             if spanned == len(classes):
                 break
-            column = [sum(x) for x in zip(*(self._coweights[s][1] for s in slots))]
+            column = [sum(x) for x in zip(*(coweights[s] for s in slots))]
             grown = hermite_mod(columns + [column], scale, rank)
             order = prod(scale // col[i] for i, col in enumerate(grown))
             if order > spanned:
@@ -421,18 +438,19 @@ def _refuse_above_cap(n: int) -> None:
         )
 
 
-def _root_orbits(lattice: CoweightLattice, t, n: int) -> list:
+def _root_orbits(lattice: CoweightLattice, t, n: int, numbers: list) -> list:
     """Weyl orbits on the n-th roots of the central element of coweight ``t``.
 
     Closure under the simple reflections, run on the roots' lattice
     coefficients mod n (:func:`kacoh._orbit.orbit_partition`); the group
     itself is never enumerated.  Orbits are sorted lists of positions in
-    :func:`enumerate_roots_of_z`, ordered by their smallest member.  The
-    closure holds one byte per coefficient, so callers refuse ``n`` above
+    :func:`enumerate_roots_of_z`, ordered by their smallest member;
+    ``numbers`` is set to each position's orbit number.  The closure holds
+    one byte per coefficient, so callers refuse ``n`` above
     :data:`kacoh._orbit.MAX_N` first, whatever the budget.
     """
     reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
-    return orbit_partition(range(n ** lattice.rank), reflections, n, lattice._permutations)
+    return orbit_partition(range(n ** lattice.rank), reflections, n, lattice._permutations, numbers)
 
 
 def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
@@ -445,7 +463,7 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     _refuse_above_cap(n)
     t = lattice.central_coweight(z)
     points = enumerate_roots_of_z(lattice, z, n, t)
-    partition = _root_orbits(lattice, t, n)
+    partition = _root_orbits(lattice, t, n, [])
     return [tuple(points[k] for k in orbit) for orbit in partition]
 
 
@@ -490,12 +508,12 @@ def cross_check(
     torus orbits and that assignment must be a bijection of orbit sets; the
     first class that fails is identified in the report.
     """
-    budget = budget if budget is not None else Budget.from_env()
+    max_rank, max_n = _env_limits() if budget is None else (budget.max_rank, budget.max_n)
     rank = spec.total_rank
-    if rank > budget.max_rank or n > budget.max_n:
+    if rank > max_rank or n > max_n:
         raise BudgetError(
             f"refusing brute-force run: rank {rank}, n {n} exceeds budget "
-            f"(max_rank {budget.max_rank}, max_n {budget.max_n}); "
+            f"(max_rank {max_rank}, max_n {max_n}); "
             f"this run would enumerate {n ** rank} torus points"
         )
 
@@ -515,7 +533,8 @@ def cross_check(
 
     lattice = build_coweight_lattice(spec)
     t, zeta = lattice._central(key)
-    torus_partition = _root_orbits(lattice, t, n)
+    orbit_of = []
+    torus_partition = _root_orbits(lattice, t, n, orbit_of)
 
     kac_sizes = tuple(len(o.members) for o in kac_orbits)
     torus_sizes = tuple(len(o) for o in torus_partition)
@@ -531,7 +550,7 @@ def cross_check(
                 "maps outside the root set"
             )
             break
-        target = _orbit_containing(torus_partition, index)
+        target = orbit_of[index]
         if target in used:
             failure = (
                 f"classes {used[target]} and {ci} both map to torus orbit "
@@ -559,13 +578,3 @@ def cross_check(
         failure=failure,
     )
 
-
-def _orbit_containing(partition: list, k: int) -> int:
-    """Position in ``partition`` (sorted orbits, by smallest member) of the orbit of ``k``."""
-    for oi, orbit in enumerate(partition):
-        if orbit[0] > k:
-            break
-        j = bisect_left(orbit, k)
-        if j < len(orbit) and orbit[j] == k:
-            return oi
-    raise InternalCheckError(f"root {k} lies in no torus orbit")

@@ -180,14 +180,24 @@ def test_cross_check_classifies_the_keyed_bucket(monkeypatch):
 
 
 def test_coverage_check_fires(monkeypatch):
-    """A filter that drops a labeling of the class is an internal error."""
+    """A filter that drops a labeling of the class, or swaps one for a
+    labeling of another class, is an internal error."""
     real_filter = cohomology.filter_for_central
     monkeypatch.setattr(
         cohomology, "filter_for_central", lambda *args: real_filter(*args)[1:]
     )
     spec = _cold(preset_spec("sc:A11"))
+    z = enumerate_center(spec)[0]
     with pytest.raises(InternalCheckError, match="cover"):
-        nth_root_classes(spec, enumerate_center(spec)[0], 3)
+        nth_root_classes(spec, z, 3)
+    kn = enumerate_Kn(spec.diagram(), 3)
+    kept = real_filter(kn, spec, z, spec.diagram())
+    foreign = next(p for p in kn if p not in kept)
+    monkeypatch.setattr(
+        cohomology, "filter_for_central", lambda *args: real_filter(*args)[1:] + [foreign]
+    )
+    with pytest.raises(InternalCheckError, match="is in one and not the other"):
+        nth_root_classes(_cold(spec), z, 3)
 
 
 @pytest.mark.parametrize(

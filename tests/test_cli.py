@@ -171,6 +171,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert code == 3 and out == "" and err.count("\n") == 1 and "cannot read" in err
     code, _, err = run(capsys, "h1", "--spec", "sc:E7", "--q", "000/00/001")
     assert code == 4
+    # A twist to match is of the level that --n asks for.
+    for n, q, level in (("3", "0,1,0,1", 2), ("2", "0,0,0,0", 0)):
+        code, out, err = run(capsys, "labelings", "--spec", "sc:A3", "--n", n, "--match-q", q)
+        assert code == 4 and out == "" and err.count("\n") == 1 and f"level {level}" in err
     # Labels are ASCII digits: int() fails on "²" and reads "٢" as 2.
     for q in ("²0", "٢,0", "２0", "1,１"):
         code, out, err = run(capsys, "h1", "--spec", "sc:A1", "--q", q)

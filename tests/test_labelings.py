@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import simple_types
+from conftest import rank5_products, simple_types
 from kacoh.diagram import build_extended_diagram, fundamental_group
 from kacoh.labelings import (
     KacLabeling,
+    _component_solutions,
     _slot_columns,
     act_on_labeling,
     compact_labeling,
@@ -372,6 +373,37 @@ def test_enumeration_carries_the_residue_key():
             for n in range(1, 5):
                 checked += _carried_keys_match(spec, n)
     assert checked == 39035
+
+
+def _product_assembly(diagram, n, congruence) -> list:
+    """K_n of a product as the itertools.product of its components'
+    solutions, labels joined by ``sum(labels, ())`` and keys summed mod m."""
+    m, columns = congruence
+    per_component = [
+        _component_solutions(diagram, k, n, columns, m) for k in range(len(diagram.components))
+    ]
+    return [
+        (tuple([sum(x) % m for x in zip(*keys)]), KacLabeling(sum(labels, ()), n))
+        for labels, keys in (zip(*combo) for combo in itertools.product(*per_component))
+    ]
+
+
+def test_product_enumeration_matches_itertools_product():
+    # enumerate_Kn extends the solutions one component at a time; the
+    # reference assembles the product at once, on every lattice of every
+    # product of rank <= 5 but A1^5.
+    checked = 0
+    for comps in rank5_products():
+        d = build_extended_diagram(comps)
+        for spec in all_intermediate_specs(comps):
+            for n in (1, 2, 3):
+                expected = _product_assembly(d, n, spec.derived(_slot_columns))
+                assert enumerate_Kn(d, n, spec.derived(_slot_columns)) == expected, (spec, n)
+                checked += len(expected)
+        keyless = (1, ((),) * d.num_vertices)
+        for n in (1, 2, 3):
+            assert enumerate_Kn(d, n) == [p for _, p in _product_assembly(d, n, keyless)], (comps, n)
+    assert checked == 138342
 
 
 def test_count_Kn_matches_enumeration():

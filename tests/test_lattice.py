@@ -328,3 +328,23 @@ def test_lattice_search_by_coset_matches_element_loop():
         assert specs == _element_loop_specs(comps), comps
         counts["x".join(comps)] = len(specs)
     assert (counts["A1xA1xA1xA1xA1"], counts["A3xA3xA1"], counts["D4xD4"]) == (374, 54, 67)
+
+
+def test_sc_presets_match_the_full_weight_basis():
+    # preset_spec("sc:...") keeps only the fundamental weights that enlarge
+    # P/Q; the reference validates every one of them.
+    from kacoh.lattice import _weight_basis
+
+    names = (
+        [f"A{r}" for r in range(1, 41)]
+        + [f"B{r}" for r in range(2, 12)]
+        + [f"C{r}" for r in range(2, 12)]
+        + [f"D{r}" for r in range(4, 25)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+        + ["A1xA1", "A3xA3", "D4xD4", "D6xA1", "E7xB3", "A2xG2xA1"]
+    )
+    assert len(names) == 92
+    for name in names:
+        comps = tuple(SimpleType.parse(t) for t in name.split("x"))
+        full = validate_spec(comps, _weight_basis(comps))
+        assert preset_spec(f"sc:{name}") == full, name

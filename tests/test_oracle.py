@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import simple_types
+from conftest import rank5_products, simple_types
 from dense_lattice import dense_coweight_hnf
 from kacoh import oracle
 from kacoh.lattice import (
@@ -306,7 +306,9 @@ def test_reflection_permutation_matches_per_point_reference(monkeypatch):
         assert _built_and_read_back(a, w, v, 17, monkeypatch) == [
             _per_point_permutation(a, w, v, 17)
         ]
-    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1, {}) == [[0]]
+    numbers = []
+    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1, {}, numbers) == [[0]]
+    assert numbers == [0]
 
 
 def test_closure_set_up_is_shared_and_order_independent(monkeypatch):
@@ -372,17 +374,11 @@ def test_closure_refuses_n_below_one():
     assert not lattice._permutations
 
 
-def test_product_sweep_rank4():
-    # Every product of two or more simple types of total rank <= 4 (no
-    # aliases: B from rank 3, D from rank 4), every lattice, every z.
-    factors = [t for t in simple_types(3) if t.rank >= {"B": 3, "D": 4}.get(t.family, 1)]
-    products = [
-        comps
-        for size in (2, 3, 4)
-        for comps in itertools.combinations_with_replacement(factors, size)
-        if sum(t.rank for t in comps) <= 4
-    ]
-    assert len(products) == 18
+def test_product_sweep_rank5():
+    # Every product of two or more simple types of total rank <= 5 but A1^5,
+    # every lattice, every z.
+    products = rank5_products()
+    assert len(products) == 44
     lattices = runs = 0
     for comps in products:
         for spec in all_intermediate_specs(comps):
@@ -392,7 +388,7 @@ def test_product_sweep_rank4():
                     report = cross_check(spec, z, n)
                     assert report.ok, (comps, spec.generators, n, report.failure)
                     runs += 1
-    assert (lattices, runs) == (168, 1809)
+    assert (lattices, runs) == (462, 5379)
 
 
 def _dense_reflections(spec):
@@ -464,7 +460,10 @@ def test_orbit_kernel_matches_dense_reflections():
             for n in ns:
                 points = enumerate_roots_of_z(lattice, z, n)
                 expected = _dense_partition(points, mats, lattice)
-                assert _root_orbits(lattice, t, n) == expected, (spec, z, n)
+                numbers = []
+                assert _root_orbits(lattice, t, n, numbers) == expected, (spec, z, n)
+                assert all(numbers[k] == oi for oi, orbit in enumerate(expected) for k in orbit)
+                assert len(numbers) == n ** lattice.rank
                 assert weyl_orbit_count(lattice, z, n) == [
                     tuple(points[i] for i in orbit) for orbit in expected
                 ], (spec, z, n)
