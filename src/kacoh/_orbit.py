@@ -8,7 +8,9 @@ modulo ``n`` times the lattice basis ``h``, one per coefficient vector
 coefficients of the coroot ``alpha_i^vee`` in the basis ``h``.  So the
 closure never builds a torus point: each reflection becomes one index
 permutation of the fiber, and the orbits are the connected components of
-those permutations.
+those permutations.  The closure reports them as the orbit number of every
+point and the size of every orbit; it never lists or sorts an orbit's
+points.
 
 Each permutation is built a whole column at a time, never point by point.
 A column holds one byte per point, in product order, so the digits and
@@ -26,7 +28,10 @@ lane.
 Nothing of this is built twice.  The fiber's columns depend only on
 ``(n, rank)`` and are built once per process; a permutation depends only
 on ``n``, the rows ``w_i``, ``v_i`` and ``a_i mod n``, so the caller keeps
-it, as its lane bytes, in a store that lives as long as those rows.
+it, as its lane bytes, in a store that lives as long as those rows.  For
+the same reason the whole partition depends only on ``n``, those rows and
+the vector of ``a_i mod n``, which is what the caller keeps a closure
+under (:class:`kacoh.oracle.CoweightLattice`).
 """
 
 from __future__ import annotations
@@ -55,28 +60,27 @@ def orbit_partition(points, reflections, n, store, numbers):
     ``(a_i, w_i, v_i)`` for the simple reflection ``s_i``: an integer and two
     integer rows of length ``rank``.  ``n`` is at most :data:`MAX_N`.
     ``store`` keeps the permutations across calls (see :func:`_permutations`).
-    Returns a list of orbits, each a sorted list of indices into ``points``,
-    ordered by their smallest member.  The list ``numbers`` is set to each
-    point's orbit number, its orbit's position in that list.
+    The list ``numbers`` is set to each point's orbit number; the orbits are
+    numbered in the order of their smallest members.  Returns the list of
+    orbit sizes in that order; no orbit is listed.
     """
     perms = _permutations(reflections, n, store)
     numbers[:] = [None] * len(points)
-    orbits = []
+    sizes = []
     for start in points:
         if numbers[start] is not None:
             continue
-        number = numbers[start] = len(orbits)
-        orbit = [start]
-        # The orbit list is also the breadth-first queue: it grows while read.
-        for k in orbit:
+        number = numbers[start] = len(sizes)
+        # A breadth-first queue that grows while read; dropped once closed.
+        queue = [start]
+        for k in queue:
             for perm in perms:
                 j = perm[k]
                 if numbers[j] is None:
                     numbers[j] = number
-                    orbit.append(j)
-        orbit.sort()
-        orbits.append(orbit)
-    return orbits
+                    queue.append(j)
+        sizes.append(len(queue))
+    return sizes
 
 
 def _permutations(reflections, n, store):

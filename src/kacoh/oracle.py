@@ -5,31 +5,37 @@ lattice of X.  This module realizes that lattice concretely from the
 annihilator condition: the coroots and the coweight classes whose pairings
 with the generator rows of X/Q vanish, found from the marks of
 :func:`kacoh.rootdata.cartan_data` and deliberately not from the coset
-computation of :mod:`kacoh.lattice`.  It then enumerates the n-th roots of a central element exactly, closes them under
-the simple reflections, and compares class counts and representatives with
-the labeling pipeline point by point.
+computation of :mod:`kacoh.lattice`.  :func:`cross_check` closes the n-th
+roots of a central element under the simple reflections, compares class
+counts with the labeling pipeline, and maps each labeling class's
+representative into its torus orbit, which must be a bijection.
 
 The torus side runs in integers.  A torus point is an integer vector over
-one denominator (:class:`TorusPoint`); the root points and the alcove points
-of labelings are reduced in the lattice's integer scaling by
-:func:`kacoh.exactalg.reduce_mod_basis`, which walks only the nonzero entries
-of the lattice basis (its :func:`kacoh.exactalg.triangular_form`).  The
-reflection closure (the hot loop, :mod:`kacoh._orbit`) builds no torus point
-at all: the n-th roots are ``zeta + sum_j c_j h_j`` over the lattice basis
-``h``, indexed by their coefficients ``c`` mod n, and each simple reflection
-acts on those indices through integer rows the lattice derives on first use,
-so a witness query that runs no closure never builds them.  Each
-reflection's index permutation of the fiber is built a whole column at a
-time, with one byte per coefficient, so the closure takes ``n <= 256`` and
-refuses a larger n with BudgetError whatever the budget.  A labeling
-representative is matched by solving its alcove point for its
-coefficients, and its torus orbit is read from the orbit numbers that the
-closure fills in.
+one denominator (:class:`TorusPoint`).  The reflection closure (the hot
+loop, :mod:`kacoh._orbit`) builds no torus point at all: the n-th roots
+are ``zeta + sum_j c_j h_j`` over the lattice basis ``h``, indexed by their
+coefficients ``c`` mod n, and each simple reflection acts on those indices
+through integer rows the lattice derives on first use, so a witness query
+that runs no closure never builds them.  Each reflection's index
+permutation of the fiber is built a whole column at a time, with one byte
+per coefficient, so the closure takes ``n <= 256`` and refuses a larger n
+with BudgetError whatever the budget.  The closure gives the orbit number
+of every index and the size of every orbit, and the lattice keeps it per
+``n`` and central coweight mod ``n``.  A labeling representative is
+matched by solving its alcove point for its coefficients
+(:meth:`CoweightLattice.root_index`), and its torus orbit is read from the
+orbit numbers by index.  Only :func:`enumerate_roots_of_z` (and
+:func:`weyl_orbit_count`, which regroups its points by orbit number) builds
+the root points, reduced in the lattice's integer scaling by
+:func:`kacoh.exactalg.reduce_mod_basis`, which walks only the nonzero
+entries of the lattice basis (its :func:`kacoh.exactalg.triangular_form`);
+the alcove points of witnesses are reduced the same way.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -124,11 +130,16 @@ class CoweightLattice:
     query that only needs witnesses never builds them.
 
     What the closure derives from a central element is kept for the
-    lattice's lifetime: the :meth:`key_coweight` of each central key with
-    its ``zeta``, and the reflection permutations per ``(n, i, a_i mod n)``,
-    as lane bytes (``orbit_partition``'s ``store``).  Since ``a_i`` is a
-    coordinate of a central coweight, a lattice holds per n at most
-    ``rank * min(n, |Z|)`` permutations of ``n ** rank`` lanes.
+    lattice's lifetime, which is the spec's (:func:`build_coweight_lattice`):
+    the :meth:`key_coweight` of each central key with its ``zeta``; the
+    reflection permutations per ``(n, i, a_i mod n)``, as lane bytes
+    (``orbit_partition``'s ``store``); and the closures of
+    :func:`_root_orbits` per ``(n, t mod n)``, each the orbit number of
+    every point as an ``array`` of 2-byte entries up to 65,536 points and
+    4-byte entries above, with the tuple of orbit sizes.  Since ``a_i`` is
+    the coordinate ``t_i`` of a central coweight, a lattice holds per n at
+    most ``rank * min(n, |Z|)`` permutations of ``n ** rank`` lanes and at
+    most one closure per central key.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -162,6 +173,7 @@ class CoweightLattice:
         self._box = self._coweight_box()
         self._centrals = {}     # central key -> (t, zeta)
         self._permutations = {}  # orbit_partition's store
+        self._closures = {}     # (n, t mod n) -> (orbit numbers, orbit sizes)
         self._texts = {}        # denominator -> point_texts table
 
     @cached_property
@@ -438,33 +450,51 @@ def _refuse_above_cap(n: int) -> None:
         )
 
 
-def _root_orbits(lattice: CoweightLattice, t, n: int, numbers: list) -> list:
+def _root_orbits(lattice: CoweightLattice, t, n: int) -> tuple:
     """Weyl orbits on the n-th roots of the central element of coweight ``t``.
 
     Closure under the simple reflections, run on the roots' lattice
     coefficients mod n (:func:`kacoh._orbit.orbit_partition`); the group
-    itself is never enumerated.  Orbits are sorted lists of positions in
-    :func:`enumerate_roots_of_z`, ordered by their smallest member;
-    ``numbers`` is set to each position's orbit number.  The closure holds
-    one byte per coefficient, so callers refuse ``n`` above
-    :data:`kacoh._orbit.MAX_N` first, whatever the budget.
+    itself is never enumerated.  Returns ``(numbers, sizes)``: the orbit
+    number of each position in :func:`enumerate_roots_of_z`, as an
+    ``array``, and the tuple of orbit sizes, the orbits ordered by their
+    smallest member.  The partition depends only on the lattice, ``n`` and
+    ``t mod n``, so the lattice keeps it under ``(n, t mod n)`` and runs
+    the closure once per key.  The closure holds one byte per coefficient,
+    so callers refuse ``n`` above :data:`kacoh._orbit.MAX_N` first,
+    whatever the budget.
     """
-    reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
-    return orbit_partition(range(n ** lattice.rank), reflections, n, lattice._permutations, numbers)
+    key = (n, tuple([a % n for a in t]))
+    closure = lattice._closures.get(key)
+    if closure is None:
+        size = n ** lattice.rank
+        reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
+        numbers = []
+        sizes = orbit_partition(range(size), reflections, n, lattice._permutations, numbers)
+        closure = lattice._closures[key] = (
+            array("H" if size <= 1 << 16 else "I", numbers),
+            tuple(sizes),
+        )
+    return closure
 
 
 def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
     """Orbits of the Weyl group on the n-th roots of a central element.
 
     Returns orbits as tuples of the TorusPoints of
-    :func:`enumerate_roots_of_z`, ordered by first appearance there.  An
-    ``n`` above the closure's cap is refused before any root is built.
+    :func:`enumerate_roots_of_z`, in their order there, the orbits ordered
+    by first appearance; the points are regrouped by the orbit numbers of
+    :func:`_root_orbits`.  An ``n`` above the closure's cap is refused
+    before any root is built.
     """
     _refuse_above_cap(n)
     t = lattice.central_coweight(z)
     points = enumerate_roots_of_z(lattice, z, n, t)
-    partition = _root_orbits(lattice, t, n, [])
-    return [tuple(points[k] for k in orbit) for orbit in partition]
+    numbers, sizes = _root_orbits(lattice, t, n)
+    orbits = [[] for _ in sizes]
+    for point, number in zip(points, numbers):
+        orbits[number].append(point)
+    return [tuple(orbit) for orbit in orbits]
 
 
 @dataclass(frozen=True)
@@ -533,11 +563,9 @@ def cross_check(
 
     lattice = build_coweight_lattice(spec)
     t, zeta = lattice._central(key)
-    orbit_of = []
-    torus_partition = _root_orbits(lattice, t, n, orbit_of)
+    orbit_of, torus_sizes = _root_orbits(lattice, t, n)
 
     kac_sizes = tuple(len(o.members) for o in kac_orbits)
-    torus_sizes = tuple(len(o) for o in torus_partition)
 
     matching = []
     failure = None
@@ -559,10 +587,10 @@ def cross_check(
             break
         used[target] = ci
         matching.append(target)
-    if failure is None and len(kac_orbits) != len(torus_partition):
+    if failure is None and len(kac_orbits) != len(torus_sizes):
         failure = (
             f"class counts differ: {len(kac_orbits)} labeling classes, "
-            f"{len(torus_partition)} torus classes"
+            f"{len(torus_sizes)} torus classes"
         )
 
     return CheckReport(
@@ -570,7 +598,7 @@ def cross_check(
         z=z,
         n=n,
         kac_class_count=len(kac_orbits),
-        torus_class_count=len(torus_partition),
+        torus_class_count=len(torus_sizes),
         kac_orbit_sizes=kac_sizes,
         torus_orbit_sizes=torus_sizes,
         matching=tuple(matching),

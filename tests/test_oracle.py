@@ -259,6 +259,14 @@ def _per_point_permutation(a, w, v, n):
     return images
 
 
+def _regrouped(numbers, count):
+    """The orbits as lists of indices, regrouped from each index's orbit number."""
+    orbits = [[] for _ in range(count)]
+    for k, number in enumerate(numbers):
+        orbits[number].append(k)
+    return orbits
+
+
 def _built_and_read_back(a, w, v, n, monkeypatch):
     """The permutation of one reflection as built into a store, checked equal
     to what a second call reads back from that store alone."""
@@ -307,7 +315,9 @@ def test_reflection_permutation_matches_per_point_reference(monkeypatch):
             _per_point_permutation(a, w, v, 17)
         ]
     numbers = []
-    assert orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1, {}, numbers) == [[0]]
+    sizes = orbit_partition(range(1), [(1, (1, 2), (1, -1)), (0, (2, 1), (3, 0))], 1, {}, numbers)
+    assert sizes == [1]
+    assert _regrouped(numbers, len(sizes)) == [[0]]
     assert numbers == [0]
 
 
@@ -360,6 +370,114 @@ def test_closure_set_up_is_shared_and_order_independent(monkeypatch):
     fresh = [spec_from_document(spec_to_document(spec)) for spec in specs]
     assert sweep(fresh, runs[::-1]) == forward
     assert len(builds) == 2 * expected
+
+
+def _listed_orbits(points, reflections, n, store, numbers):
+    """A reference closure that lists every orbit and sorts it.
+
+    Returns the orbits as sorted lists of indices into ``points``, ordered by
+    their smallest member, and sets ``numbers`` to each point's orbit number.
+    The reference for the orbit numbers and sizes the closure now returns.
+    """
+    from kacoh._orbit import _permutations
+
+    perms = _permutations(reflections, n, store)
+    numbers[:] = [None] * len(points)
+    orbits = []
+    for start in points:
+        if numbers[start] is not None:
+            continue
+        number = numbers[start] = len(orbits)
+        orbit = [start]
+        for k in orbit:
+            for perm in perms:
+                j = perm[k]
+                if numbers[j] is None:
+                    numbers[j] = number
+                    orbit.append(j)
+        orbit.sort()
+        orbits.append(orbit)
+    return orbits
+
+
+def _rank4_lattices():
+    """Every lattice of a simple type of rank <= 4 and of a product of
+    ``rank5_products`` of total rank <= 4, each on a spec of its own."""
+    from kacoh.lattice import spec_from_document, spec_to_document
+
+    groups = [(typ,) for typ in simple_types(4)]
+    groups += [comps for comps in rank5_products() if sum(t.rank for t in comps) <= 4]
+    return [
+        spec_from_document(spec_to_document(spec))
+        for comps in groups
+        for spec in all_intermediate_specs(comps)
+    ]
+
+
+def test_closures_are_kept_per_level_and_central_coweight_mod_n(monkeypatch):
+    # A lattice keeps one closure per (n, t mod n): it equals a closure run on
+    # a freshly built lattice with an empty store, its orbit numbers regroup
+    # into the sorted orbit lists, central keys whose coweights agree mod n
+    # share it, and no closure answers another n or another lattice.
+    from kacoh.oracle import CoweightLattice, _root_orbits
+
+    calls = []
+    closure = oracle.orbit_partition
+
+    def counting(points, reflections, n, store, numbers):
+        calls.append(n)
+        return closure(points, reflections, n, store, numbers)
+
+    monkeypatch.setattr(oracle, "orbit_partition", counting)
+    specs = _rank4_lattices()
+    runs = shared = 0
+    seen = set()
+    for spec in specs:
+        lattice = build_coweight_lattice(spec)
+        fresh = CoweightLattice(spec)
+        entries = {}
+        for z in enumerate_center(spec):
+            t = lattice.central_coweight(z)
+            for n in (1, 2, 3):
+                size = n ** lattice.rank
+                numbers, sizes = _root_orbits(lattice, t, n)
+                reflections = list(zip(t, fresh.root_pairings, fresh.coroot_coefficients))
+                expected = []
+                expected_sizes = closure(range(size), reflections, n, {}, expected)
+                assert (list(numbers), sizes) == (expected, tuple(expected_sizes)), (spec, z, n)
+                assert numbers.typecode == "H" and len(numbers) == size
+                orbits = _listed_orbits(range(size), reflections, n, {}, [])
+                assert _regrouped(numbers, len(sizes)) == orbits, (spec, z, n)
+                key = (n, tuple(a % n for a in t))
+                if key in entries:
+                    shared += 1
+                    assert entries[key][0] is numbers and entries[key][1] is sizes
+                entries[key] = (numbers, sizes)
+                runs += 1
+        assert lattice._closures == entries, spec
+        assert not fresh._closures
+        assert len({n for n, _ in entries}) == 3
+        for numbers, sizes in entries.values():
+            assert id(numbers) not in seen
+            seen.add(id(numbers))
+    assert len(calls) == len(seen)
+    assert (len(specs), runs, len(seen), shared) == (199, 1983, 1470, 513)
+    # A closure at n=2 never answers n=3, even where t mod 2 and t mod 3 agree.
+    spec = preset_spec("sc:A2")
+    lattice = build_coweight_lattice(spec)
+    t = lattice.central_coweight(trivial_central(spec))
+    two, three = _root_orbits(lattice, t, 2), _root_orbits(lattice, t, 3)
+    assert (len(two[0]), len(three[0])) == (4, 9)
+    assert set(lattice._closures) >= {(2, (0, 0)), (3, (0, 0))}
+    # Past 65,536 points the orbit numbers take 4-byte entries.
+    spec = preset_spec("sc:B4")
+    lattice = build_coweight_lattice(spec)
+    t = lattice.central_coweight(trivial_central(spec))
+    numbers, sizes = _root_orbits(lattice, t, 17)
+    reflections = list(zip(t, lattice.root_pairings, lattice.coroot_coefficients))
+    expected = []
+    assert closure(range(17 ** 4), reflections, 17, {}, expected) == list(sizes)
+    assert numbers.typecode == "I" and list(numbers) == expected
 
 
 def test_closure_refuses_n_below_one():
@@ -460,8 +578,9 @@ def test_orbit_kernel_matches_dense_reflections():
             for n in ns:
                 points = enumerate_roots_of_z(lattice, z, n)
                 expected = _dense_partition(points, mats, lattice)
-                numbers = []
-                assert _root_orbits(lattice, t, n, numbers) == expected, (spec, z, n)
+                numbers, sizes = _root_orbits(lattice, t, n)
+                assert _regrouped(numbers, len(sizes)) == expected, (spec, z, n)
+                assert sizes == tuple(len(orbit) for orbit in expected), (spec, z, n)
                 assert all(numbers[k] == oi for oi, orbit in enumerate(expected) for k in orbit)
                 assert len(numbers) == n ** lattice.rank
                 assert weyl_orbit_count(lattice, z, n) == [
