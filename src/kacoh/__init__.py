@@ -50,7 +50,6 @@ from .lattice import (
     validate_spec,
 )
 from .oracle import (
-    Budget,
     CheckReport,
     CoweightLattice,
     TorusPoint,

@@ -55,7 +55,7 @@ from .lattice import (
     trivial_central,
     validate_spec,
 )
-from .oracle import Budget, cross_check
+from .oracle import cross_check
 from .rootdata import (
     BudgetError,
     InternalCheckError,
@@ -248,11 +248,10 @@ def _cmd_oracle_check(args) -> int:
         zs = list(enumerate_center(spec))
     else:
         zs = [_parse_z(spec, args.z)]
-    budget = Budget.from_env()
     reports = []
     for z in zs:
         for n in ns:
-            reports.append(cross_check(spec, z, n, budget))
+            reports.append(cross_check(spec, z, n))
     doc = {"reports": [r.as_document() for r in reports]}
     lines = [f"# oracle check for {spec.describe()}"]
     for r in reports:

@@ -18,8 +18,11 @@ coefficients ``c`` mod n, and each simple reflection acts on those indices
 through integer rows the lattice derives on first use, so a witness query
 that runs no closure never builds them.  Each reflection's index
 permutation of the fiber is built a whole column at a time, with one byte
-per coefficient, so the closure takes ``n <= 256`` and refuses a larger n
-with BudgetError whatever the budget.  The closure gives the orbit number
+per coefficient, so the closure takes ``n <= 256``.  A run is budgeted on
+its ``n ** rank`` points: :func:`cross_check` and :func:`weyl_orbit_count`
+refuse, with BudgetError and before any work, an n above 256 and then more
+points than ``KACOH_ORACLE_MAX_POINTS`` (default :data:`MAX_POINTS`,
+65,536).  The closure gives the orbit number
 of every index and the size of every orbit, and the lattice keeps it per
 ``n`` and central coweight mod ``n``.  A labeling representative is
 matched by solving its alcove point for its coefficients
@@ -91,24 +94,10 @@ class TorusPoint:
         return not any(self.numerators)
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Size guard for brute-force runs; the point count grows as n**rank."""
-
-    max_rank: int = 7
-    max_n: int = 3
-
-    @classmethod
-    def from_env(cls) -> "Budget":
-        return cls(*_env_limits())
-
-
-def _env_limits() -> tuple:
-    """``(max_rank, max_n)`` of :class:`Budget`, from the environment."""
-    return (
-        _env_int("KACOH_ORACLE_MAX_RANK", Budget.max_rank),
-        _env_int("KACOH_ORACLE_MAX_N", Budget.max_n),
-    )
+# The default budget on the n**rank points of one run: the range of the
+# closure's 2-byte orbit numbers.
+MAX_POINTS = 1 << 16
+_POINTS_VARIABLE = "KACOH_ORACLE_MAX_POINTS"
 
 
 class CoweightLattice:
@@ -443,10 +432,24 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
     return [TorusPoint(pt, denominator) for pt in reduced]
 
 
-def _refuse_above_cap(n: int) -> None:
+def _check_points(rank: int, n: int) -> None:
+    """Refuse a brute-force run before any of its work.
+
+    The closure holds one byte per coefficient, so an ``n`` above
+    :data:`kacoh._orbit.MAX_N` is refused whatever the budget; then the
+    ``n ** rank`` points are refused above ``KACOH_ORACLE_MAX_POINTS``
+    (default :data:`MAX_POINTS`).  An ``n`` below 1 is left to the callee
+    that rejects it.
+    """
     if n > MAX_N:
         raise BudgetError(
             f"refusing brute-force run: n {n} exceeds the torus closure's cap of {MAX_N}"
+        )
+    budget = _env_int(_POINTS_VARIABLE, MAX_POINTS)
+    if n > 0 and n ** rank > budget:
+        raise BudgetError(
+            f"refusing brute-force run: rank {rank}, n {n} would enumerate {n ** rank} "
+            f"torus points, above the budget of {budget} ({_POINTS_VARIABLE})"
         )
 
 
@@ -460,9 +463,7 @@ def _root_orbits(lattice: CoweightLattice, t, n: int) -> tuple:
     ``array``, and the tuple of orbit sizes, the orbits ordered by their
     smallest member.  The partition depends only on the lattice, ``n`` and
     ``t mod n``, so the lattice keeps it under ``(n, t mod n)`` and runs
-    the closure once per key.  The closure holds one byte per coefficient,
-    so callers refuse ``n`` above :data:`kacoh._orbit.MAX_N` first,
-    whatever the budget.
+    the closure once per key.  Callers run :func:`_check_points` first.
     """
     key = (n, tuple([a % n for a in t]))
     closure = lattice._closures.get(key)
@@ -484,10 +485,10 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     Returns orbits as tuples of the TorusPoints of
     :func:`enumerate_roots_of_z`, in their order there, the orbits ordered
     by first appearance; the points are regrouped by the orbit numbers of
-    :func:`_root_orbits`.  An ``n`` above the closure's cap is refused
+    :func:`_root_orbits`.  A run :func:`_check_points` refuses is refused
     before any root is built.
     """
-    _refuse_above_cap(n)
+    _check_points(lattice.rank, n)
     t = lattice.central_coweight(z)
     points = enumerate_roots_of_z(lattice, z, n, t)
     numbers, sizes = _root_orbits(lattice, t, n)
@@ -525,29 +526,16 @@ class CheckReport:
         }
 
 
-def cross_check(
-    spec: GroupSpec,
-    z: CentralElement,
-    n: int,
-    budget: Budget | None = None,
-) -> CheckReport:
+def cross_check(spec: GroupSpec, z: CentralElement, n: int) -> CheckReport:
     """Compare the labeling pipeline against the torus brute force.
 
     Both sides classify the n-th roots of z.  Beyond equal counts, the
     labeling representatives are mapped through their alcove points into the
     torus orbits and that assignment must be a bijection of orbit sets; the
-    first class that fails is identified in the report.
+    first class that fails is identified in the report.  A run
+    :func:`_check_points` refuses is refused before K_n is enumerated.
     """
-    max_rank, max_n = _env_limits() if budget is None else (budget.max_rank, budget.max_n)
-    rank = spec.total_rank
-    if rank > max_rank or n > max_n:
-        raise BudgetError(
-            f"refusing brute-force run: rank {rank}, n {n} exceeds budget "
-            f"(max_rank {max_rank}, max_n {max_n}); "
-            f"this run would enumerate {n ** rank} torus points"
-        )
-
-    _refuse_above_cap(n)
+    _check_points(spec.total_rank, n)
 
     # The labeling side is the class-table lookup of nth_root_classes.  The
     # bucket of ``key`` is keyed by the enumeration already, so it is

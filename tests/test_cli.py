@@ -196,17 +196,22 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert code == 4 and out == "" and err.count("\n") == 1
     code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--z", "trivial", "--n-list", "٢")
     assert code == 3 and out == "" and err.count("\n") == 1 and "--n-list" in err
-    code, _, err = run(capsys, "oracle-check", "--spec", "sc:A8")
-    assert code == 5
+    # The torus budget is on n**rank points: 3**8 is within the default
+    # 2**16, 5**8 above it.
+    code, out, err = run(capsys, "oracle-check", "--spec", "sc:A8")
+    assert code == 0 and err == "" and out.count(", ok\n") == 27
+    code, out, err = run(capsys, "oracle-check", "--spec", "sc:A8", "--n-list", "5")
+    assert code == 5 and out == "" and err.count("\n") == 1
+    assert "390625 torus points" in err and "KACOH_ORACLE_MAX_POINTS" in err
     code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1", "--n-list", "x")
     assert code == 3 and out == "" and err.count("\n") == 1 and "--n-list" in err
     # Budgets are ASCII integers: int() reads "1_0" as 10 and "٣" as 3.
-    for name in ("KACOH_ORACLE_MAX_RANK", "KACOH_ORACLE_MAX_N"):
-        for value in ("abc", "1_0", "٣"):
-            with monkeypatch.context() as m:
-                m.setenv(name, value)
-                code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1")
-            assert code == 5 and out == "" and err.count("\n") == 1 and name in err, value
+    name = "KACOH_ORACLE_MAX_POINTS"
+    for value in ("abc", "1_0", "٣"):
+        with monkeypatch.context() as m:
+            m.setenv(name, value)
+            code, out, err = run(capsys, "oracle-check", "--spec", "sc:A1")
+        assert code == 5 and out == "" and err.count("\n") == 1 and name in err, value
     with pytest.raises(SystemExit) as exc:
         main(["h1", "--spec", "sc:E7"])  # missing --q: usage error
     assert exc.value.code == 2
@@ -226,10 +231,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
 
 
 def test_oracle_check_refuses_n_above_byte_cap():
-    # Even a budget that allows it cannot take the closure past n = 256: a
-    # fresh interpreter shows the refusal is one line, with no traceback.
+    # The budget allows 257 points, but the closure cannot take n past 256:
+    # a fresh interpreter shows the refusal is one line, with no traceback.
     src = os.path.dirname(os.path.dirname(kacoh.__file__))
-    env = dict(os.environ, KACOH_ORACLE_MAX_N="300", PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = "import sys; from kacoh.cli import main; sys.exit(main())"

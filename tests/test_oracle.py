@@ -8,6 +8,7 @@ import pytest
 from conftest import rank5_products, simple_types
 from dense_lattice import dense_coweight_hnf
 from kacoh import oracle
+from kacoh.cohomology import h1_inner_form, real_form_table, z_from_q
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -17,7 +18,6 @@ from kacoh.lattice import (
     validate_spec,
 )
 from kacoh.oracle import (
-    Budget,
     build_coweight_lattice,
     cross_check,
     enumerate_roots_of_z,
@@ -182,6 +182,40 @@ def test_cross_check_halfspin_d6():
     assert cross_check(spec, nontrivial, 2).kac_class_count == 3
 
 
+def test_halfspin_real_forms_on_the_torus():
+    # The paper's result: every real form of the half-spin group of D_2k has
+    # k//2 + 4 classes in H^1 when its twist squares to the trivial central
+    # element and (k+1)//2 + 1 otherwise.  Up to D16 the torus checks each
+    # one at n = 2, at most 2**16 points.
+    forms = 0
+    for k in range(2, 9):
+        spec = preset_spec(f"halfspin:D{2 * k}")
+        for form in real_form_table(SimpleType("D", 2 * k)):
+            q = form.representative
+            z = z_from_q(q, 2, spec)
+            report = cross_check(spec, z, 2)
+            assert report.ok, (k, q, report.failure)
+            count = len(h1_inner_form(spec, q).classes)
+            assert count == report.kac_class_count == report.torus_class_count, (k, q)
+            assert count == (k // 2 + 4 if z.is_trivial else (k + 1) // 2 + 1), (k, q)
+            forms += 1
+    assert forms == 56
+
+
+def test_cross_check_ranks_7_and_8():
+    # Every lattice of the simple types of rank 7 and 8, every z, n = 1..4:
+    # the n = 4 runs of rank 8 are 4**8 = 2**16 points, the default budget.
+    runs = 0
+    for name in ("A7", "A8", "B7", "B8", "C7", "C8", "D7", "D8", "E7", "E8"):
+        for spec in all_intermediate_specs((SimpleType.parse(name),)):
+            for z in enumerate_center(spec):
+                for n in (1, 2, 3, 4):
+                    report = cross_check(spec, z, n)
+                    assert report.ok, (spec, z, n, report.failure)
+                    runs += 1
+    assert runs == 248
+
+
 def test_cross_check_d4_everything():
     for spec in all_intermediate_specs((SimpleType.parse("D4"),)):
         for z in enumerate_center(spec):
@@ -208,25 +242,40 @@ def test_cross_check_report_fields():
     assert sorted(doc["matching"]) == list(range(doc["kac_class_count"]))
 
 
-def test_budget_refusal():
-    spec = preset_spec("sc:A8")
-    with pytest.raises(BudgetError):
+def test_budget_refusal(monkeypatch):
+    # The budget is on the n**rank points of a run, 2**16 by default.
+    for preset, n in (("sc:A8", 2), ("sc:A2", 4), ("sc:A16", 2)):
+        spec = preset_spec(preset)
+        assert cross_check(spec, trivial_central(spec), n).ok, preset
+    spec = preset_spec("sc:A17")
+    monkeypatch.setattr(oracle, "enumerate_Kn", lambda *args: pytest.fail("K_n enumerated"))
+    with pytest.raises(BudgetError, match="131072 torus points, above the budget of 65536"):
         cross_check(spec, trivial_central(spec), 2)
-    small = preset_spec("sc:A2")
-    with pytest.raises(BudgetError):
-        cross_check(small, trivial_central(small), 4)
-    # explicit budget overrides the default
-    report = cross_check(small, trivial_central(small), 4, budget=Budget(max_n=4))
-    assert report.ok
 
 
 def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("KACOH_ORACLE_MAX_RANK", "2")
-    budget = Budget.from_env()
-    assert budget.max_rank == 2
+    # sc:A3 at n = 2 is 8 points: a budget of 8 answers, 7 refuses.
     spec = preset_spec("sc:A3")
-    with pytest.raises(BudgetError):
-        cross_check(spec, trivial_central(spec), 2, budget=Budget.from_env())
+    z = trivial_central(spec)
+    monkeypatch.setenv("KACOH_ORACLE_MAX_POINTS", "8")
+    assert cross_check(spec, z, 2).ok
+    monkeypatch.setenv("KACOH_ORACLE_MAX_POINTS", "7")
+    refusal = r"8 torus points, above the budget of 7 \(KACOH_ORACLE_MAX_POINTS\)"
+    with pytest.raises(BudgetError, match=refusal):
+        cross_check(spec, z, 2)
+    with pytest.raises(BudgetError, match=refusal):
+        weyl_orbit_count(build_coweight_lattice(spec), z, 2)
+
+
+def test_weyl_orbit_count_refuses_above_the_budget(monkeypatch):
+    # 2**40 points: refused before any root is built.
+    spec = preset_spec("sc:A40")
+    lattice = build_coweight_lattice(spec)
+    monkeypatch.setattr(
+        oracle, "enumerate_roots_of_z", lambda *args: pytest.fail("roots enumerated")
+    )
+    with pytest.raises(BudgetError, match=f"{2 ** 40} torus points"):
+        weyl_orbit_count(lattice, trivial_central(spec), 2)
 
 
 def test_closure_refuses_n_above_byte_cap(monkeypatch):
@@ -236,13 +285,13 @@ def test_closure_refuses_n_above_byte_cap(monkeypatch):
     # the roots.
     spec = preset_spec("sc:A1")
     z = trivial_central(spec)
-    assert cross_check(spec, z, 256, budget=Budget(max_n=300)).ok
+    assert cross_check(spec, z, 256).ok
     monkeypatch.setattr(oracle, "enumerate_Kn", lambda *args: pytest.fail("K_n enumerated"))
     monkeypatch.setattr(
         oracle, "enumerate_roots_of_z", lambda *args: pytest.fail("roots enumerated")
     )
     with pytest.raises(BudgetError, match="cap of 256"):
-        cross_check(spec, z, 257, budget=Budget(max_n=300))
+        cross_check(spec, z, 257)
     with pytest.raises(BudgetError, match="cap of 256"):
         weyl_orbit_count(build_coweight_lattice(spec), z, 257)
 
@@ -484,7 +533,8 @@ def test_closure_refuses_n_below_one():
     spec = preset_spec("sc:A2")
     lattice = build_coweight_lattice(spec)
     z = trivial_central(spec)
-    for n in (0, -1):
+    # (-300)**2 is above the point budget, but a nonpositive n is no run.
+    for n in (0, -1, -300):
         with pytest.raises(LabelingError, match=f"n must be positive, got {n}"):
             weyl_orbit_count(lattice, z, n)
         with pytest.raises(LabelingError, match=f"n must be positive, got {n}"):
