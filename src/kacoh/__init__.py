@@ -20,9 +20,7 @@ from .diagram import (
     ExtendedDiagram,
     FundamentalGroup,
     FundamentalGroupElement,
-    build_extended_diagram,
     fundamental_group,
-    fundamental_group_table,
     render_diagram,
     sigma_geometric,
 )
@@ -69,7 +67,6 @@ from .rootdata import (
     cartan_data,
     fundamental_coweight,
     longest_element,
-    simple_reflection,
 )
 
 __version__ = "0.1.0"

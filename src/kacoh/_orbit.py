@@ -123,7 +123,11 @@ def _fiber(n, rank):
     """The :class:`_Fiber` of ``(n, rank)``, built once.
 
     It holds ``rank + 2`` integers of ``n ** rank`` lanes, less than the
-    permutation lists of one closure over it.
+    permutation lists of one closure over it.  The cache lives as long as
+    the process, not as long as a spec: after ``cross_check`` of every
+    central element of ``halfspin:D16`` at n=2, 2.5 MB of the 5.1 MB the
+    run added (``tracemalloc``) stays once the spec is dropped.  A process that sweeps
+    many ranks and levels pays for each fiber once.
     """
     return _Fiber(n, rank)
 

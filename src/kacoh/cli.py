@@ -71,22 +71,27 @@ EXIT_INTERNAL = 6
 EXIT_BROKEN_PIPE = 141
 
 
-def _load_spec(args) -> GroupSpec:
-    spec = load_spec(args.spec)
-    aliases = [str(t) for t in spec.components if t.is_alias]
-    if aliases:
-        canon = {"B2": "C2", "D3": "A3"}
-        for t in aliases:
+def _warn_aliases(components) -> None:
+    canon = {"B2": "C2", "D3": "A3"}
+    for t in components:
+        if t.is_alias:
             print(
-                f"warning: {t} is an alias of {canon[t]}; "
+                f"warning: {t} is an alias of {canon[str(t)]}; "
                 "intended for oracle cross-checks only",
                 file=sys.stderr,
             )
+
+
+def _load_spec(args) -> GroupSpec:
+    spec = load_spec(args.spec)
+    _warn_aliases(spec.components)
     return spec
 
 
 def _parse_types(text: str) -> tuple:
-    return tuple(SimpleType.parse(t) for t in text.split("x"))
+    types = tuple(SimpleType.parse(t) for t in text.split("x"))
+    _warn_aliases(types)
+    return types
 
 
 def _int(text: str) -> int:
@@ -180,11 +185,7 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_adjoint_h1(args) -> int:
-    if args.types:
-        types = _parse_types(args.types)
-    else:
-        types = _load_spec(args).components
-    result = h1_adjoint(types)
+    result = h1_adjoint(_parse_types(args.types))
     diagram = result.group_spec.diagram()
     _emit(args, h1_document(result), _h1_lines(result, diagram))
     return 0
@@ -209,6 +210,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_forms(args) -> int:
     typ = SimpleType.parse(args.types)
+    _warn_aliases((typ,))
     orbits = real_form_table(typ)
     spec = validate_spec([typ], [])
     diagram = spec.diagram()
@@ -281,16 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     def verb(name, summary):
         return sub.add_parser(name, help=summary, allow_abbrev=False)
 
-    def add_common(p, spec_required=True):
-        group = p.add_mutually_exclusive_group(required=spec_required)
-        group.add_argument(
-            "--spec",
-            help="preset (sc:E7, ad:A1xA1, halfspin:D12, so:D5) or JSON file path",
-        )
-        group.add_argument("--preset", dest="spec", help="alias for --spec")
+    def add_format(p):
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
+
+    def add_common(p):
+        p.add_argument(
+            "--spec",
+            required=True,
+            help="preset (sc:E7, ad:A1xA1, halfspin:D12, so:D5) or JSON file path",
+        )
+        add_format(p)
 
     p = verb("labelings", "enumerate Kac n-labelings")
     add_common(p)
@@ -305,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_h1)
 
     p = verb("adjoint-h1", "cohomology classes of the adjoint form")
-    add_common(p, spec_required=False)
-    p.add_argument("--types", help="component types, e.g. E7 or A1xA1")
+    p.add_argument("--types", required=True, help="component types, e.g. E7 or A1xA1")
+    add_format(p)
     p.set_defaults(func=_cmd_adjoint_h1)
 
     p = verb("roots", "classes of n-th roots of a central element")
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("forms", "inner twists of one simple type")
     p.add_argument("--types", required=True, help="a simple type, e.g. E7")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(func=_cmd_forms)
 
     p = verb("oracle-check", "verify labeling classes against the torus")
@@ -332,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "adjoint-h1" and not (args.types or args.spec):
-        parser.error("adjoint-h1 needs --types or --spec")
     try:
         return args.func(args)
     except SpecError as exc:

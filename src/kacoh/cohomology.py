@@ -85,7 +85,7 @@ def _label_differences(q: KacLabeling, orbits, neutral: int, diagram: ExtendedDi
     Taken at the representative, and for the neutral class at the twist
     itself, so that class's differences are all zero.
     """
-    slots = diagram.pi_slots()
+    slots = diagram.pi_slots
     pick = itemgetter(*slots) if len(slots) > 1 else lambda labels: (labels[slots[0]],)
     base = pick(q.labels)
     return [
@@ -135,10 +135,7 @@ def h1_adjoint(types) -> H1Result:
     Computed both directly on all 2-labelings and as the twisted-form query
     of the adjoint lattice at the trivial twist; the two must agree exactly.
     """
-    comps = tuple(
-        t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types
-    )
-    spec = validate_spec(comps, [])
+    spec = validate_spec(types, [])
     diagram = spec.diagram()
     direct = orbit_decompose(enumerate_Kn(diagram, 2), diagram.full_group)
     result = h1_inner_form(spec, compact_labeling(diagram))

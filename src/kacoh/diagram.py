@@ -6,7 +6,7 @@ finite abelian group of coweight classes modulo coroots acts on each
 component by diagram automorphisms permuting the mark-1 vertices simply
 transitively.  That action is implemented twice:
 
-* :func:`fundamental_group_table` returns the hardcoded per-type
+* :func:`fundamental_group` builds them from hardcoded per-type
   permutations;
 * :func:`sigma_geometric` recomputes one generator from first principles,
   as the affine isometry y -> w_j w_0 y + omega_j of the fundamental
@@ -114,7 +114,8 @@ class ExtendedDiagram:
         return tuple(itertools.accumulate((t.rank + 1 for t in self.components[:-1]), initial=0))
 
     @cached_property
-    def _pi_slots(self) -> tuple:
+    def pi_slots(self) -> tuple:
+        """Slots of the non-extra vertices, in global root order."""
         return tuple(
             s for off, t in zip(self._offsets, self.components) for s in range(off, off + t.rank)
         )
@@ -173,10 +174,6 @@ class ExtendedDiagram:
         off = self._offsets[k]
         return range(off, off + self.components[k].rank + 1)
 
-    def pi_slots(self) -> tuple:
-        """Slots of the non-extra vertices, in global root order."""
-        return self._pi_slots
-
     def edges(self) -> tuple:
         """Global edges as (slot_a, slot_b, multiplicity, arrow_to) tuples.
 
@@ -211,11 +208,6 @@ class ExtendedDiagram:
                 raise LabelingError(
                     f"component {k} has weighted label sum {total}, expected {n}"
                 )
-
-
-def build_extended_diagram(types) -> ExtendedDiagram:
-    """A new diagram; :meth:`kacoh.lattice.GroupSpec.diagram` shares one per component tuple."""
-    return ExtendedDiagram(components=tuple(types))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +317,6 @@ def _component_sigmas(typ: SimpleType) -> dict:
         out[1] = _cycle_sigma(rank, {0: 1, 1: 0, 2: 6, 6: 2, 3: 5, 5: 3})
     # E8, F4, G2: trivial group, no generators.
     return out
-
-
-def fundamental_group_table(typ: SimpleType) -> FundamentalGroup:
-    """The full coweight-class group of a single component, from the tables."""
-    return fundamental_group(build_extended_diagram([typ]))
 
 
 def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:

@@ -178,7 +178,7 @@ def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeli
     The exact reference for the integer columns of :func:`_slot_columns`.
     """
     total = Fraction(0)
-    for coeff, slot in zip(generator, diagram.pi_slots()):
+    for coeff, slot in zip(generator, diagram.pi_slots):
         total += coeff * labeling.labels[slot]
     return _frac_mod1(total)
 
@@ -190,7 +190,7 @@ def _slot_columns(spec: GroupSpec) -> tuple:
     m, gens = generator_rows(spec)
     diagram = spec.diagram()
     columns = [(0,) * len(gens)] * diagram.num_vertices
-    for slot, column in zip(diagram.pi_slots(), zip(*gens)):
+    for slot, column in zip(diagram.pi_slots, zip(*gens)):
         columns[slot] = column
     return m, tuple(columns)
 

@@ -39,7 +39,6 @@ from .diagram import (
     ExtendedDiagram,
     FundamentalGroup,
     _staircase,
-    build_extended_diagram,
 )
 from .rootdata import SimpleType, SpecError, cartan_data
 
@@ -64,9 +63,11 @@ class GroupSpec:
         closure, the coweight lattice, integer generator rows, the texts
         of its document, the class table of :mod:`kacoh.labelings`) is
         derived through here, so repeated queries on one spec build each
-        part once.  The results are shared: callers must not mutate them.  The one exception is the
-        class table, which fills itself in as queries arrive; only
-        :mod:`kacoh.labelings` touches it.
+        part once.  The results are shared: callers must not mutate them.
+        Two of them fill themselves in as queries arrive: the class table,
+        which only :mod:`kacoh.labelings` touches, and the coweight lattice,
+        which keeps the central coweights, reflection permutations,
+        closures and texts that :mod:`kacoh.oracle` derives from it.
         """
         cache = self._derived
         try:
@@ -119,7 +120,7 @@ def _shared_diagram(components: tuple) -> ExtendedDiagram:
     """One diagram per component tuple, so that every lattice of the same
     root system shares its derived data and its ``full_group``.  Kept for
     the life of the process, like the per-type data of ``cartan_data``."""
-    return build_extended_diagram(components)
+    return ExtendedDiagram(components)
 
 
 def _build_diagram(spec: GroupSpec) -> ExtendedDiagram:
@@ -365,11 +366,11 @@ def all_intermediate_specs(components) -> tuple:
     reached: adding its elements one at a time passes only through
     subgroups.  The elements of one coset ``e + sub`` all close ``sub`` to
     the same subgroup, so only the first of each coset is tried.  Ordered
-    by subgroup size, then by sorted elements.
+    by subgroup size, then by sorted elements.  Each spec keeps what its
+    queries derive (:meth:`GroupSpec.derived`), so keeping the returned
+    tuple keeps the caches of every spec in it.
     """
-    comps = tuple(
-        t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
-    )
+    comps = validate_spec(components, []).components
     full = validate_spec(comps, _weight_generators(comps))
     den, closure, _ = full.derived(_xq_group)
     elements = sorted(closure)

@@ -120,7 +120,7 @@ class CoweightLattice:
 
     What the closure derives from a central element is kept for the
     lattice's lifetime, which is the spec's (:func:`build_coweight_lattice`):
-    the :meth:`key_coweight` of each central key with its ``zeta``; the
+    the ``(t, zeta)`` of :meth:`_central` per central key; the
     reflection permutations per ``(n, i, a_i mod n)``, as lane bytes
     (``orbit_partition``'s ``store``); and the closures of
     :func:`_root_orbits` per ``(n, t mod n)``, each the orbit number of
@@ -149,7 +149,7 @@ class CoweightLattice:
         # coroot; None at the extra vertices, whose labels do not enter.
         coweights = list(zip(*self.scaled_inverse))
         slots = [None] * spec.diagram().num_vertices
-        for slot, coweight in zip(spec.diagram().pi_slots(), coweights):
+        for slot, coweight in zip(spec.diagram().pi_slots, coweights):
             slots[slot] = coweight
         self._slot_coweights = tuple(slots)
 
@@ -188,9 +188,6 @@ class CoweightLattice:
         return TorusPoint(
             reduce_mod_basis(scaled, self.triangular, denominator // self.scale), denominator
         )
-
-    def canonicalize(self, coords) -> tuple:
-        return self.canonical_point(coords).coords
 
     def contains(self, coords) -> bool:
         return self.canonical_point(coords).is_identity
@@ -262,23 +259,18 @@ class CoweightLattice:
     def central_coweight(self, z: CentralElement) -> tuple:
         """Integer coweight coordinates of a coweight realizing ``z``.
 
-        The :meth:`key_coweight` of the key that ``check_central`` returns
-        for ``z``; it rejects values that are not homomorphisms.
+        The ``t`` of :meth:`_central` for the key that ``check_central``
+        returns for ``z``; it rejects values that are not homomorphisms.
         """
-        return self.key_coweight(check_central(self.spec, z))
-
-    def key_coweight(self, key: tuple) -> tuple:
-        """Integer coweight coordinates of a coweight of central key ``key``.
-
-        Searched over the finitely many coweight classes modulo this
-        lattice, for the first ``t`` whose sums ``row . t`` over the scaled
-        generator rows are ``key`` mod ``modulus``; once per key.
-        """
-        return self._central(key)[0]
+        return self._central(check_central(self.spec, z))[0]
 
     def _central(self, key: tuple) -> tuple:
-        """``(t, zeta)``: the :meth:`key_coweight` ``t`` of ``key`` and
-        ``zeta``, ``scale`` times its coroot coordinates."""
+        """``(t, zeta)`` of central key ``key``, searched once per key.
+
+        ``t`` holds the integer coweight coordinates of the first coweight,
+        over the finitely many coweight classes modulo this lattice, whose
+        sums ``row . t`` over the scaled generator rows are ``key`` mod
+        ``modulus``; ``zeta`` is ``scale`` times its coroot coordinates."""
         found = self._centrals.get(key)
         if found is None:
             t = self._search_coweight(key)
@@ -402,7 +394,7 @@ def build_coweight_lattice(spec: GroupSpec) -> CoweightLattice:
     return spec.derived(CoweightLattice)
 
 
-def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=None) -> list:
+def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) -> list:
     """All torus points whose n-th power is the central element.
 
     These are (zeta + mu)/n with mu running over lattice representatives
@@ -410,15 +402,12 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int, t=
     integers scaled by ``n * lattice.scale``, where the lattice is spanned by
     ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
     order: point k is ``zeta + sum_j c_j hnf_j`` for the digits ``c`` of k
-    in base n, the first column most significant.  ``t`` is the
-    :meth:`CoweightLattice.central_coweight` of ``z``, searched for when
-    not given.
+    in base n, the first column most significant; ``zeta`` is the scaled
+    :meth:`CoweightLattice.central_coweight` of ``z``.
     """
     if n < 1:
         raise LabelingError(f"n must be positive, got {n}")
-    if t is None:
-        t = lattice.central_coweight(z)
-    points = [mat_vec(lattice.scaled_inverse, t)]
+    points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
     for col in lattice.hnf:
         points = [
             tuple(a + c * b for a, b in zip(pt, col))
@@ -490,7 +479,7 @@ def weyl_orbit_count(lattice: CoweightLattice, z: CentralElement, n: int) -> lis
     """
     _check_points(lattice.rank, n)
     t = lattice.central_coweight(z)
-    points = enumerate_roots_of_z(lattice, z, n, t)
+    points = enumerate_roots_of_z(lattice, z, n)
     numbers, sizes = _root_orbits(lattice, t, n)
     orbits = [[] for _ in sizes]
     for point, number in zip(points, numbers):

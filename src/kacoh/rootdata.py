@@ -236,10 +236,6 @@ def reflection_matrix(data: CartanData, i: int) -> tuple:
     )
 
 
-def simple_reflection(data: CartanData, i: int) -> WeylElement:
-    return WeylElement(word=(i,), matrix=reflection_matrix(data, i))
-
-
 def fundamental_coweight(data: CartanData, j: int) -> tuple:
     """The j-th fundamental coweight in simple-coroot coordinates."""
     if not 1 <= j <= data.rank:

@@ -30,7 +30,7 @@ from kacoh.lattice import (
     preset_spec,
     xq_order,
 )
-from kacoh.diagram import build_extended_diagram, fundamental_group
+from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.oracle import cross_check
 from kacoh.rootdata import SimpleType, cartan_data
 
@@ -57,7 +57,7 @@ E7_CENSUS = [
 
 def test_criterion_1_e7_census():
     started = time.perf_counter()
-    d = build_extended_diagram([SimpleType.parse("E7")])
+    d = ExtendedDiagram([SimpleType.parse("E7")])
     labelings = enumerate_Kn(d, 2)
     got = [(p.labels, format_labeling(d, p)) for p in labelings]
     assert got == E7_CENSUS
@@ -219,7 +219,7 @@ def test_criterion_8_invariance_suite():
 
     # Level-1 labelings form a single orbit of the full class group.
     for typ in simple_types(8):
-        d = build_extended_diagram([typ])
+        d = ExtendedDiagram([typ])
         orbits = orbit_decompose(enumerate_Kn(d, 1), fundamental_group(d))
         assert len(orbits) == 1, typ
 

@@ -38,13 +38,21 @@ def test_h1_e7_worked_example(capsys):
         assert rep in out
 
 
-def test_preset_flag_alias(capsys):
-    code, out, _ = run(capsys, "h1", "--preset", "sc:E7", "--q", "000/00/002")
-    assert code == 0
-    assert len([l for l in out.splitlines() if l.startswith("class")]) == 4
-    with pytest.raises(SystemExit):  # --spec and --preset are exclusive
-        main(["h1", "--spec", "sc:E7", "--preset", "sc:E7", "--q", "000/00/002"])
-    capsys.readouterr()
+def test_one_spelling_per_input(capsys):
+    # A spec is given by --spec alone, and adjoint-h1 reads --types alone:
+    # it takes the components only, so a lattice would be dropped unread.
+    for argv in (
+        ["h1", "--preset", "sc:E7", "--q", "000/00/002"],
+        ["h1", "--spec", "sc:E7", "--preset", "sc:E7", "--q", "000/00/002"],
+        ["adjoint-h1", "--spec", "sc:E7"],
+        ["adjoint-h1", "--types", "E7", "--spec", "sc:E7"],
+        ["adjoint-h1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err, argv
 
 
 def test_h1_halfspin_d12(capsys):
@@ -71,9 +79,9 @@ def test_adjoint_h1(capsys):
     code, out, _ = run(capsys, "adjoint-h1", "--types", "E7")
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("class")]) == 4
-    code, out, _ = run(capsys, "adjoint-h1", "--spec", "sc:E7")
+    code, out, _ = run(capsys, "adjoint-h1", "--types", "E7", "--format", "json")
     assert code == 0
-    assert len([l for l in out.splitlines() if l.startswith("class")]) == 4
+    assert len(json.loads(out)["classes"]) == 4
 
 
 def test_adjoint_h1_same_count_for_any_q(capsys):
@@ -154,10 +162,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     # Ranks are ASCII digits: "³" and "٣" pass str.isdigit() (int() reads
     # the second as 3), and a rank longer than int() converts is no rank.
     for argv in (
-        ("adjoint-h1", "--spec", "sc:A³"),
-        ("adjoint-h1", "--spec", "sc:A٣"),
+        ("labelings", "--spec", "sc:A³", "--n", "2"),
+        ("labelings", "--spec", "sc:A٣", "--n", "2"),
         ("adjoint-h1", "--types", "A²xA1"),
-        ("adjoint-h1", "--spec", "sc:A" + "9" * 5000),
+        ("labelings", "--spec", "sc:A" + "9" * 5000, "--n", "2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.count("\n") == 1 and "simple type" in err
@@ -318,15 +326,21 @@ def test_oracle_check_refuses_nonpositive_n(capsys, n):
 
 
 def test_alias_warning(capsys):
-    code, out, err = run(capsys, "labelings", "--spec", "ad:B2", "--n", "2")
-    assert code == 0
-    assert "alias" in err
-    code, out, err = run(capsys, "labelings", "--spec", "ad:D3", "--n", "2")
-    assert code == 0
-    assert "alias" in err
-    code, out, err = run(capsys, "labelings", "--spec", "ad:D4", "--n", "2")
-    assert code == 0
-    assert err == ""
+    # B2 and D3 are aliases of C2 and A3, whether they come in a spec or in
+    # --types; each alias is named once, in the order of the components.
+    warning = "warning: {} is an alias of {}; intended for oracle cross-checks only\n"
+    for argv, aliases in (
+        (("labelings", "--spec", "ad:B2", "--n", "2"), [("B2", "C2")]),
+        (("labelings", "--spec", "ad:D3", "--n", "2"), [("D3", "A3")]),
+        (("labelings", "--spec", "ad:D4", "--n", "2"), []),
+        (("forms", "--types", "B2"), [("B2", "C2")]),
+        (("forms", "--types", "C2"), []),
+        (("adjoint-h1", "--types", "D3"), [("D3", "A3")]),
+        (("adjoint-h1", "--types", "B2xA1xD3"), [("B2", "C2"), ("D3", "A3")]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, argv
+        assert err == "".join(warning.format(*pair) for pair in aliases), argv
 
 
 def test_spec_file(tmp_path, capsys):
@@ -442,7 +456,7 @@ def test_random_argv_ends_in_a_documented_exit_code(data):
                 spec = os.path.join(tmp, "spec.json")
                 with open(spec, "w", encoding="utf-8") as fh:
                     json.dump(data.draw(spec_document, label="document"), fh)
-            argv += [data.draw(st.sampled_from(("--spec", "--preset"))), spec]
+            argv += ["--spec", spec]
         flags = VERB_OPTIONS.get(verb, ()) + ("--format",)
         if not data.draw(often):
             flags += (data.draw(st.sampled_from(sorted(VALUES))),)

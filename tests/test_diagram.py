@@ -1,10 +1,9 @@
 import pytest
 
 from kacoh.diagram import (
+    ExtendedDiagram,
     _component_sigmas,
-    build_extended_diagram,
     fundamental_group,
-    fundamental_group_table,
     render_diagram,
     sigma_geometric,
 )
@@ -26,7 +25,7 @@ def vertex_map(group, element, component=0):
 
 
 def test_a1_diagram():
-    d = build_extended_diagram([T("A1")])
+    d = ExtendedDiagram([T("A1")])
     assert d.num_vertices == 2
     assert d.marks == (1, 1)
     # the two vertices are joined by the doubly-infinite bond
@@ -34,14 +33,14 @@ def test_a1_diagram():
 
 
 def test_e7_diagram_shape():
-    d = build_extended_diagram([T("E7")])
+    d = ExtendedDiagram([T("E7")])
     assert d.num_vertices == 8
     edges = {(d.local(a)[1], d.local(b)[1]) for a, b, _, _ in d.edges()}
     assert edges == {(1, 2), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6), (6, 0)}
 
 
 def test_disjoint_union():
-    d = build_extended_diagram([T("A1"), T("A1")])
+    d = ExtendedDiagram([T("A1"), T("A1")])
     assert d.num_vertices == 4
     assert len(d.components) == 2
     assert d.slot(1, 1) == 2 and d.slot(1, 0) == 3
@@ -49,18 +48,18 @@ def test_disjoint_union():
 
 def test_empty_rejected():
     with pytest.raises(SpecError):
-        build_extended_diagram([])
+        ExtendedDiagram([])
 
 
 def test_e7_table():
-    g = fundamental_group_table(T("E7"))
+    g = fundamental_group(ExtendedDiagram((T("E7"),)))
     assert g.order == 2 and g.iso_tag == "Z2"
     m = vertex_map(g, g.elements[1])
     assert m == {1: 0, 0: 1, 2: 6, 6: 2, 3: 5, 5: 3, 4: 4, 7: 7}
 
 
 def test_d6_table():
-    g = fundamental_group_table(T("D6"))
+    g = fundamental_group(ExtendedDiagram((T("D6"),)))
     assert g.order == 4 and g.iso_tag == "Z2xZ2"
     by_tag = {e.tags[0]: e for e in g.elements}
     m1 = vertex_map(g, by_tag[1])
@@ -69,7 +68,7 @@ def test_d6_table():
 
 
 def test_d5_table_four_cycle():
-    g = fundamental_group_table(T("D5"))
+    g = fundamental_group(ExtendedDiagram((T("D5"),)))
     assert g.order == 4 and g.iso_tag == "Z4"
     by_tag = {e.tags[0]: e for e in g.elements}
     m = vertex_map(g, by_tag[4])
@@ -77,7 +76,7 @@ def test_d5_table_four_cycle():
 
 
 def test_e6_table():
-    g = fundamental_group_table(T("E6"))
+    g = fundamental_group(ExtendedDiagram((T("E6"),)))
     assert g.order == 3 and g.iso_tag == "Z3"
     by_tag = {e.tags[0]: e for e in g.elements}
     m = vertex_map(g, by_tag[1])
@@ -87,7 +86,7 @@ def test_e6_table():
 
 def test_trivial_groups():
     for t in ("E8", "F4", "G2"):
-        g = fundamental_group_table(T(t))
+        g = fundamental_group(ExtendedDiagram((T(t),)))
         assert g.order == 1 and g.iso_tag == "1"
 
 
@@ -102,13 +101,13 @@ def test_orders_and_tags(types_rank8):
         "G": lambda r: 1,
     }
     for typ in types_rank8:
-        g = fundamental_group_table(typ)
+        g = fundamental_group(ExtendedDiagram((typ,)))
         assert g.order == expect[typ.family](typ.rank), typ
 
 
 def test_action_simply_transitive_on_mark_one(types_rank8):
     for typ in types_rank8:
-        g = fundamental_group_table(typ)
+        g = fundamental_group(ExtendedDiagram((typ,)))
         d = g.diagram
         mark_one = [s for s in range(d.num_vertices) if d.marks[s] == 1]
         assert g.order == len(mark_one)
@@ -119,7 +118,7 @@ def test_action_simply_transitive_on_mark_one(types_rank8):
 
 def test_group_axioms(types_rank8):
     for typ in types_rank8[:10]:
-        g = fundamental_group_table(typ)
+        g = fundamental_group(ExtendedDiagram((typ,)))
         ident = g.identity()
         by_sigma = {e.sigma: e for e in g.elements}
 
@@ -134,7 +133,7 @@ def test_group_axioms(types_rank8):
 
 
 def test_product_group():
-    d = build_extended_diagram([T("A1"), T("E6")])
+    d = ExtendedDiagram([T("A1"), T("E6")])
     g = fundamental_group(d)
     assert g.order == 6
     assert g.iso_tag == "Z6"
@@ -153,7 +152,7 @@ def test_geometric_rejects_mark_two():
 
 
 def test_subgroup_closure_check():
-    g = fundamental_group_table(T("D6"))
+    g = fundamental_group(ExtendedDiagram((T("D6"),)))
     with pytest.raises(InternalCheckError):
         # two distinct involutions without their product
         g.subgroup([g.elements[0], g.elements[1], g.elements[2]])
@@ -161,7 +160,7 @@ def test_subgroup_closure_check():
 
 def test_render_smoke(types_rank8):
     for typ in types_rank8:
-        d = build_extended_diagram([typ])
+        d = ExtendedDiagram([typ])
         text = render_diagram(d)
         assert str(typ) in text
         for v in range(typ.rank + 1):

@@ -11,8 +11,8 @@ import pytest
 from kacoh import diagram as diagram_module
 from kacoh.cohomology import h1_document, h1_inner_form
 from kacoh.diagram import (
+    ExtendedDiagram,
     _extended_cartan,
-    build_extended_diagram,
     fundamental_group,
     permuted_labels,
 )
@@ -66,9 +66,9 @@ def test_integer_extended_cartan_matches_fraction_reference():
 
 
 def test_display_template_matches_nested_join():
-    diagrams = [build_extended_diagram([typ]) for typ in simple_types(8)]
+    diagrams = [ExtendedDiagram([typ]) for typ in simple_types(8)]
     diagrams += [
-        build_extended_diagram([SimpleType.parse(a), SimpleType.parse(b)])
+        ExtendedDiagram([SimpleType.parse(a), SimpleType.parse(b)])
         for a, b in [("A1", "A1"), ("D4", "D4"), ("E7", "B3"), ("G2", "C3")]
     ]
     for d in diagrams:
@@ -78,7 +78,7 @@ def test_display_template_matches_nested_join():
 
 
 def test_display_template_writes_labels_of_several_digits():
-    d = build_extended_diagram([SimpleType.parse("A1")])
+    d = ExtendedDiagram([SimpleType.parse("A1")])
     shown = [format_labeling(d, p) for p in enumerate_Kn(d, 12)]
     assert shown == [_reference_display(d, p) for p in enumerate_Kn(d, 12)]
     assert shown[0] == "0/12" and shown[3] == "3/9" and shown[-1] == "12/0"
@@ -86,7 +86,7 @@ def test_display_template_writes_labels_of_several_digits():
 
 def test_label_actions_match_permuted_labels():
     for typ in simple_types(8):
-        d = build_extended_diagram([typ])
+        d = ExtendedDiagram([typ])
         group = fundamental_group(d)
         assert len(group.label_actions) == group.order
         for g, act in zip(group.elements, group.label_actions):
@@ -96,7 +96,7 @@ def test_label_actions_match_permuted_labels():
 
 def _corrupt(monkeypatch, typ, sigmas):
     monkeypatch.setattr(diagram_module, "_component_sigmas", lambda t: sigmas)
-    return build_extended_diagram([SimpleType.parse(typ)])
+    return ExtendedDiagram([SimpleType.parse(typ)])
 
 
 def test_sparse_automorphism_check_rejects_a_corrupted_sigma(monkeypatch):
@@ -126,7 +126,7 @@ def test_broken_marks_name_the_component_of_the_first_broken_slot(monkeypatch):
         lambda t: {1: (0, 3, 2, 1)} if t.family == "B" else tables(t),
     )
     for names in (("B3", "A2"), ("A2", "B3")):
-        d = build_extended_diagram([SimpleType.parse(t) for t in names])
+        d = ExtendedDiagram([SimpleType.parse(t) for t in names])
         with pytest.raises(InternalCheckError, match="^B3: action does not preserve marks$"):
             fundamental_group(d)
 
@@ -144,7 +144,7 @@ def test_witnesses_and_their_text_match_fraction_reference():
             for i, (orbit, witness) in enumerate(zip(result.classes, result.witnesses)):
                 member = q if i == result.neutral_index else orbit.representative
                 expected = tuple(
-                    Fraction(member.labels[s] - q.labels[s], 2) for s in d.pi_slots()
+                    Fraction(member.labels[s] - q.labels[s], 2) for s in d.pi_slots
                 )
                 assert witness == expected, (spec, q, i)
                 assert doc["classes"][i]["witness"] == [format_rational(x) for x in expected]

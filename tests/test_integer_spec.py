@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from kacoh import lattice
-from kacoh.diagram import build_extended_diagram, fundamental_group
+from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.exactalg import block_diag, mat_mul, mat_vec
 from kacoh.lattice import (
     CentralElement,
@@ -144,7 +144,7 @@ def ref_coset_pairing(gen, g, diagram):
 
 def ref_dual_elements(components, generators):
     """Group elements whose coweight pairing with every generator is 0 mod 1."""
-    diagram = build_extended_diagram(components)
+    diagram = ExtendedDiagram(components)
     return tuple(
         g
         for g in fundamental_group(diagram).elements

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank5_products, simple_types
-from kacoh.diagram import build_extended_diagram, fundamental_group
+from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.labelings import (
     KacLabeling,
     _component_solutions,
@@ -33,7 +33,7 @@ from kacoh.rootdata import BudgetError, InternalCheckError, LabelingError, Simpl
 
 
 def D(*names):
-    return build_extended_diagram([SimpleType.parse(n) for n in names])
+    return ExtendedDiagram([SimpleType.parse(n) for n in names])
 
 
 # The six 2-labelings of extended E7, frozen in enumeration (lex) order.
@@ -394,7 +394,7 @@ def test_product_enumeration_matches_itertools_product():
     # product of rank <= 5 but A1^5.
     checked = 0
     for comps in rank5_products():
-        d = build_extended_diagram(comps)
+        d = ExtendedDiagram(comps)
         for spec in all_intermediate_specs(comps):
             for n in (1, 2, 3):
                 expected = _product_assembly(d, n, spec.derived(_slot_columns))

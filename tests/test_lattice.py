@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kacoh.diagram import build_extended_diagram, fundamental_group
+from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -63,7 +63,7 @@ def test_rejects_wrong_length():
 
 
 def test_pairing_values():
-    d = build_extended_diagram([SimpleType.parse("E7")])
+    d = ExtendedDiagram([SimpleType.parse("E7")])
     # Vertex 1 is the unique non-extra mark-1 vertex of E7; the value is the
     # generator's coefficient there.
     assert pairing(E7_LAMBDA, 1, d) == F(1, 2)
@@ -71,13 +71,13 @@ def test_pairing_values():
         with pytest.raises(SpecError):
             pairing(E7_LAMBDA, j, d)
     hs = preset_spec("halfspin:D6")
-    d6 = build_extended_diagram([SimpleType.parse("D6")])
+    d6 = ExtendedDiagram([SimpleType.parse("D6")])
     assert pairing(hs.generators[0], 5, d6) == 0
     assert pairing(hs.generators[0], 6, d6) == F(1, 2)
 
 
 def test_pairing_well_defined_mod_integers():
-    d = build_extended_diagram([SimpleType.parse("E7")])
+    d = ExtendedDiagram([SimpleType.parse("E7")])
     shifted = tuple(c + k for c, k in zip(E7_LAMBDA, (3, -2, 0, 1, 0, 5, -1)))
     assert pairing(shifted, 1, d) == pairing(E7_LAMBDA, 1, d)
 
@@ -93,7 +93,7 @@ def test_dual_subgroups():
 
 def test_dual_extremes(types_rank8):
     for typ in types_rank8:
-        full = fundamental_group(build_extended_diagram([typ]))
+        full = fundamental_group(ExtendedDiagram([typ]))
         assert dual_subgroup(preset_spec(f"ad:{typ}")).order == full.order
         assert dual_subgroup(preset_spec(f"sc:{typ}")).order == 1
 
@@ -149,8 +149,8 @@ def test_lattices_of_one_root_system_share_diagram_and_group():
     # Both dual subgroups are cut from that one group.
     assert dual_subgroup(ad).elements == diagram.full_group.elements
     assert set(dual_subgroup(sc).elements) < set(diagram.full_group.elements)
-    # build_extended_diagram, and fundamental_group of it, build anew.
-    fresh = build_extended_diagram(sc.components)
+    # The constructor, and fundamental_group of it, build anew.
+    fresh = ExtendedDiagram(sc.components)
     assert fresh == diagram and fresh is not diagram
     assert fresh.full_group is not diagram.full_group
     assert fresh.full_group.elements == diagram.full_group.elements

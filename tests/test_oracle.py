@@ -64,8 +64,8 @@ def test_canonicalize_idempotent_and_consistent():
         (F(11, 2), F(0), F(1), F(2), F(-3, 2), F(5, 4)),
     ]
     for v in vecs:
-        c = lattice.canonicalize(v)
-        assert lattice.canonicalize(c) == c
+        c = lattice.canonical_point(v).coords
+        assert lattice.canonical_point(c).coords == c
         diff = tuple(a - b for a, b in zip(v, c))
         assert lattice.contains(diff)
 
@@ -200,6 +200,23 @@ def test_halfspin_real_forms_on_the_torus():
             assert count == (k // 2 + 4 if z.is_trivial else (k + 1) // 2 + 1), (k, q)
             forms += 1
     assert forms == 56
+
+
+def test_e7_real_forms_on_the_torus():
+    # Criteria 1-3 on the torus: each of the four real forms of E7, through
+    # the square z of its twist, at n = 2 (2**7 points).  sc:E7 splits the
+    # forms into counts 4 and 2 by z; on ad:E7 every z is trivial.
+    for preset, expected in (("sc:E7", (4, 2, 4, 2)), ("ad:E7", (4, 4, 4, 4))):
+        spec = preset_spec(preset)
+        counts = []
+        for form in real_form_table(SimpleType.parse("E7")):
+            q = form.representative
+            report = cross_check(spec, z_from_q(q, 2, spec), 2)
+            assert report.ok, (preset, q, report.failure)
+            count = len(h1_inner_form(spec, q).classes)
+            assert count == report.kac_class_count == report.torus_class_count, (preset, q)
+            counts.append(count)
+        assert tuple(counts) == expected, preset
 
 
 def test_cross_check_ranks_7_and_8():
@@ -588,7 +605,7 @@ def _dense_partition(points, mats, lattice):
         while frontier:
             coords = points[frontier.pop()].coords
             for mat in mats:
-                j = index[lattice.canonicalize(mat_vec(mat, coords))]
+                j = index[lattice.canonical_point(mat_vec(mat, coords)).coords]
                 if j not in orbit_of:
                     orbit_of[j] = len(orbits)
                     orbit.append(j)
