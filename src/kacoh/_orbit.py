@@ -89,7 +89,9 @@ def _permutations(reflections, n, store):
     Each is built once per ``(n, i, a_i mod n)``, the key it is kept under
     in the dict ``store``, so one store serves one set of rows ``w``, ``v``.
     It is kept as its lane bytes (None where ``s_i`` fixes every point),
-    far smaller than a list of ints, and read back into a list per call.
+    far smaller than a list of ints, and returned as a ``memoryview`` of
+    them cast to the lane format, which is indexed in place: no call builds
+    an int per point.
     """
     fiber = _fiber(n, len(reflections[0][1]) if reflections else 0)
     perms = []
@@ -100,7 +102,7 @@ def _permutations(reflections, n, store):
         except KeyError:
             lanes = store[key] = _reflection_lanes(a, w, v, fiber)
         if lanes is not None:
-            perms.append(memoryview(lanes).cast(fiber.format).tolist())
+            perms.append(memoryview(lanes).cast(fiber.format))
     return perms
 
 
@@ -122,12 +124,12 @@ def _tables(n):
 def _fiber(n, rank):
     """The :class:`_Fiber` of ``(n, rank)``, built once.
 
-    It holds ``rank + 2`` integers of ``n ** rank`` lanes, less than the
-    permutation lists of one closure over it.  The cache lives as long as
-    the process, not as long as a spec: after ``cross_check`` of every
+    It holds ``rank + 2`` integers of ``n ** rank`` lanes, about as much as
+    the permutation lanes a lattice keeps over it.  The cache lives as long
+    as the process, not as long as a spec: after ``cross_check`` of every
     central element of ``halfspin:D16`` at n=2, 2.5 MB of the 5.1 MB the
-    run added (``tracemalloc``) stays once the spec is dropped.  A process that sweeps
-    many ranks and levels pays for each fiber once.
+    run added (``tracemalloc``) stays once the spec is dropped.  A process
+    that sweeps many ranks and levels pays for each fiber once.
     """
     return _Fiber(n, rank)
 

@@ -72,11 +72,10 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _warn_aliases(components) -> None:
-    canon = {"B2": "C2", "D3": "A3"}
     for t in components:
-        if t.is_alias:
+        if t.alias_of is not None:
             print(
-                f"warning: {t} is an alias of {canon[str(t)]}; "
+                f"warning: {t} is an alias of {t.alias_of}; "
                 "intended for oracle cross-checks only",
                 file=sys.stderr,
             )
@@ -136,7 +135,7 @@ def _cmd_labelings(args) -> int:
     diagram = spec.diagram()
     labelings = enumerate_Kn(diagram, args.n)
     if args.z is not None:
-        labelings = filter_for_central(labelings, spec, _parse_z(spec, args.z), diagram)
+        labelings = filter_for_central(labelings, spec, _parse_z(spec, args.z))
     if args.match_q is not None:
         q = parse_labeling(diagram, args.match_q)
         if q.n != args.n:

@@ -155,15 +155,12 @@ def nth_root_classes(spec: GroupSpec, z: CentralElement, n: int) -> RootsResult:
     representative as witness.
     """
     key = check_central(spec, z)
-    diagram = spec.diagram()
     lattice = build_coweight_lattice(spec)
     orbits = congruence_classes(
         spec,
         n,
         key,
-        lambda all_n: orbit_decompose(
-            filter_for_central(all_n, spec, z, diagram), dual_subgroup(spec)
-        ),
+        lambda all_n: orbit_decompose(filter_for_central(all_n, spec, z), dual_subgroup(spec)),
         enumerate_Kn,
     )
     points = tuple(phi(o.representative, spec, lattice) for o in orbits)

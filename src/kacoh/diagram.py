@@ -53,10 +53,13 @@ def _extended_cartan(typ: SimpleType) -> tuple:
     d = norms(data)
     scale = lcm(*(x.denominator for x in d))
     d = [x.numerator * (scale // x.denominator) for x in d]
-    # low_i[i] = (alpha_i, alpha_0), with (alpha_i, alpha_j) = cartan[i][j] * d_j
-    low_d = [c * dk for c, dk in zip(data.lowest_root, d)]
+    # The lowest root alpha_0 is minus the highest, whose coefficients are
+    # the marks.  low_i[i] = (alpha_i, alpha_0), with
+    # (alpha_i, alpha_j) = cartan[i][j] * d_j.
+    lowest = [-m for m in data.marks[:-1]]
+    low_d = [c * dk for c, dk in zip(lowest, d)]
     low_i = [sum(a * low_d[k] for k, a in enumerate(row) if a) for row in data.cartan]
-    low_low = sum(c * x for c, x in zip(data.lowest_root, low_i))
+    low_low = sum(c * x for c, x in zip(lowest, low_i))
     ext = [list(row) + [0] for row in data.cartan] + [[0] * rank + [2]]
     for i in range(rank):
         col, col_rem = divmod(2 * low_i[i], low_low)    # <alpha_i, alpha_0^vee>
@@ -173,27 +176,6 @@ class ExtendedDiagram:
     def component_slots(self, k: int) -> range:
         off = self._offsets[k]
         return range(off, off + self.components[k].rank + 1)
-
-    def edges(self) -> tuple:
-        """Global edges as (slot_a, slot_b, multiplicity, arrow_to) tuples.
-
-        ``arrow_to`` is the slot on the short side for multiplicity > 1, or
-        None for a single (or, for rank-1 components, doubly infinite) bond.
-        """
-        out = []
-        ext = self.ext_cartan
-        for a in range(self.num_vertices):
-            for b in range(a + 1, self.num_vertices):
-                if ext[a][b] == 0:
-                    continue
-                mult = max(abs(ext[a][b]), abs(ext[b][a]))
-                arrow = None
-                if abs(ext[a][b]) > abs(ext[b][a]):
-                    arrow = a  # alpha_a pairs larger: alpha_a is shorter
-                elif abs(ext[b][a]) > abs(ext[a][b]):
-                    arrow = b
-                out.append((a, b, mult, arrow))
-        return tuple(out)
 
     def check_labeling(self, labels, n: int) -> None:
         if len(labels) != self.num_vertices:

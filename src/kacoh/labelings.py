@@ -172,7 +172,7 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
     return [(key, KacLabeling(labels, n)) for labels, key in solutions]
 
 
-def labeling_weight(spec: GroupSpec, diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
+def labeling_weight(diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
     """Sum of generator coefficients against the labels at the root vertices.
 
     The exact reference for the integer columns of :func:`_slot_columns`.
@@ -212,7 +212,7 @@ def residue_key(spec: GroupSpec, labels) -> tuple:
     return tuple([sum(map(mul, labels, row)) % m for row in rows])
 
 
-def filter_for_central(labelings, spec: GroupSpec, z: CentralElement, diagram: ExtendedDiagram) -> list:
+def filter_for_central(labelings, spec: GroupSpec, z: CentralElement) -> list:
     """Keep labelings whose generator sums match the central element's values."""
     key = central_key(spec, z)
     return [] if key is None else [p for p in labelings if residue_key(spec, p.labels) == key]

@@ -20,14 +20,14 @@ that runs no closure never builds them.  Each reflection's index
 permutation of the fiber is built a whole column at a time, with one byte
 per coefficient, so the closure takes ``n <= 256``.  A run is budgeted on
 its ``n ** rank`` points: :func:`cross_check` and :func:`weyl_orbit_count`
-refuse, with BudgetError and before any work, an n above 256 and then more
-points than ``KACOH_ORACLE_MAX_POINTS`` (default :data:`MAX_POINTS`,
-65,536).  The closure gives the orbit number
-of every index and the size of every orbit, and the lattice keeps it per
-``n`` and central coweight mod ``n``.  A labeling representative is
-matched by solving its alcove point for its coefficients
-(:meth:`CoweightLattice.root_index`), and its torus orbit is read from the
-orbit numbers by index.  Only :func:`enumerate_roots_of_z` (and
+refuse, with BudgetError and before any work, an n above 256, and they and
+:func:`enumerate_roots_of_z` refuse more points than
+``KACOH_ORACLE_MAX_POINTS`` (default :data:`MAX_POINTS`, 65,536).  The
+closure gives the orbit number of every index and the size of every
+orbit, and the lattice keeps it per ``n`` and central coweight mod ``n``.
+A labeling representative is matched by solving its alcove point for its
+coefficients (:meth:`CoweightLattice.root_index`), and its torus orbit is
+read from the orbit numbers by index.  Only :func:`enumerate_roots_of_z` (and
 :func:`weyl_orbit_count`, which regroups its points by orbit number) builds
 the root points, reduced in the lattice's integer scaling by
 :func:`kacoh.exactalg.reduce_mod_basis`, which walks only the nonzero
@@ -359,11 +359,6 @@ class CoweightLattice:
                 return tuple(t)
         raise InternalCheckError("central element has no representative coweight")
 
-    def central_representative(self, z: CentralElement) -> tuple:
-        """The coweight of :meth:`central_coweight` in coroot coordinates."""
-        zeta = self._central(check_central(self.spec, z))[1]
-        return tuple(Fraction(x, self.scale) for x in zeta)
-
 
 def _reflection_coefficients(cartan, hnf, scale) -> tuple:
     """``(w, v)`` of the reflection closure on the lattice basis ``hnf / scale``.
@@ -403,10 +398,13 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
     ``n * lattice.hnf``, with mu's coefficients in ``itertools.product``
     order: point k is ``zeta + sum_j c_j hnf_j`` for the digits ``c`` of k
     in base n, the first column most significant; ``zeta`` is the scaled
-    :meth:`CoweightLattice.central_coweight` of ``z``.
+    :meth:`CoweightLattice.central_coweight` of ``z``.  More points than
+    ``KACOH_ORACLE_MAX_POINTS`` (:func:`_check_point_budget`) are refused
+    with BudgetError before any is built.
     """
     if n < 1:
         raise LabelingError(f"n must be positive, got {n}")
+    _check_point_budget(lattice.rank, n)
     points = [mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))]
     for col in lattice.hnf:
         points = [
@@ -422,18 +420,23 @@ def enumerate_roots_of_z(lattice: CoweightLattice, z: CentralElement, n: int) ->
 
 
 def _check_points(rank: int, n: int) -> None:
-    """Refuse a brute-force run before any of its work.
+    """Refuse a run of the torus closure before any of its work.
 
     The closure holds one byte per coefficient, so an ``n`` above
     :data:`kacoh._orbit.MAX_N` is refused whatever the budget; then the
-    ``n ** rank`` points are refused above ``KACOH_ORACLE_MAX_POINTS``
-    (default :data:`MAX_POINTS`).  An ``n`` below 1 is left to the callee
-    that rejects it.
+    points are budgeted by :func:`_check_point_budget`.
     """
     if n > MAX_N:
         raise BudgetError(
             f"refusing brute-force run: n {n} exceeds the torus closure's cap of {MAX_N}"
         )
+    _check_point_budget(rank, n)
+
+
+def _check_point_budget(rank: int, n: int) -> None:
+    """Refuse ``n ** rank`` points above ``KACOH_ORACLE_MAX_POINTS``
+    (default :data:`MAX_POINTS`).  An ``n`` below 1 is left to the callee
+    that rejects it."""
     budget = _env_int(_POINTS_VARIABLE, MAX_POINTS)
     if n > 0 and n ** rank > budget:
         raise BudgetError(

@@ -25,12 +25,12 @@ from functools import lru_cache, reduce
 
 from .exactalg import identity, mat_mul, mat_vec
 
-FAMILIES = "ABCDEFG"
-
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 # A family letter and an ASCII rank: str.isdigit() also admits "³" and "٣".
 _TYPE_NAME = re.compile(r"([A-Ga-g])([0-9]+)")
+# Types accepted as aliases of the type they coincide with.
+_ALIASES = {("B", 2): "C2", ("D", 3): "A3"}
 
 
 class SpecError(ValueError):
@@ -79,17 +79,16 @@ class SimpleType:
         return cls(match[1].upper(), rank)
 
     @property
-    def is_alias(self) -> bool:
-        """B2 and D3 are accepted as aliases of C2 and A3."""
-        return (self.family, self.rank) in {("B", 2), ("D", 3)}
+    def alias_of(self) -> str | None:
+        """The name of the type this one is an alias of, or None."""
+        return _ALIASES.get((self.family, self.rank))
 
 
 @dataclass(frozen=True)
 class CartanData:
     type: SimpleType
     cartan: tuple            # rank x rank, int entries
-    marks: tuple             # (m_1, ..., m_rank, m_0) with m_0 == 1
-    lowest_root: tuple       # coefficients over the simple roots, all <= 0
+    marks: tuple             # (m_1, ..., m_rank, m_0), m_0 == 1: the highest root, then 1
     det: int                 # determinant of cartan, the connection index
     adjugate: tuple          # rank x rank, int entries: cartan @ adjugate == det * I
 
@@ -210,16 +209,13 @@ def _det_adjugate(m) -> tuple:
 
 @lru_cache(maxsize=None)
 def cartan_data(typ: SimpleType) -> CartanData:
-    """Cartan matrix, marks, lowest root, determinant and adjugate for one type."""
+    """Cartan matrix, marks, determinant and adjugate for one type."""
     cartan = _cartan_matrix(typ.family, typ.rank)
-    marks = _marks(typ.family, typ.rank)
-    lowest = tuple(-m for m in marks[:-1])
     det, adj = _det_adjugate(cartan)
     return CartanData(
         type=typ,
         cartan=cartan,
-        marks=marks,
-        lowest_root=lowest,
+        marks=_marks(typ.family, typ.rank),
         det=det,
         adjugate=adj,
     )

@@ -200,7 +200,7 @@ def test_criterion_8_invariance_suite():
             for n in (1, 2, 3, 4):
                 labelings = enumerate_Kn(d, n)
                 for z in enumerate_center(spec):
-                    filtered = set(filter_for_central(labelings, spec, z, d))
+                    filtered = set(filter_for_central(labelings, spec, z))
                     for g in sub.elements:
                         assert {act_on_labeling(g, p) for p in filtered} == filtered
             for q in enumerate_Kn(d, 2):

@@ -42,17 +42,17 @@ def _cold(spec):
     return GroupSpec(components=spec.components, generators=spec.generators)
 
 
-def _reference(spec, n, select, arg) -> tuple:
+def _reference(spec, n, select, *args) -> tuple:
     """The classes as the pipeline computed them before the class table."""
-    d = spec.diagram()
-    return tuple(orbit_decompose(select(enumerate_Kn(d, n), spec, arg, d), dual_subgroup(spec)))
+    kn = enumerate_Kn(spec.diagram(), n)
+    return tuple(orbit_decompose(select(kn, spec, *args), dual_subgroup(spec)))
 
 
 def test_class_table_agrees_with_reference():
     checked = 0
     for spec in _sweep_specs():
         for q in enumerate_Kn(spec.diagram(), 2):
-            expected = _reference(spec, 2, filter_matching_q, q)
+            expected = _reference(spec, 2, filter_matching_q, q, spec.diagram())
             assert h1_inner_form(_cold(spec), q).classes == expected, (spec, q)
             for _ in range(2):  # first and second time on one spec
                 assert h1_inner_form(spec, q).classes == expected, (spec, q)
@@ -134,9 +134,9 @@ def test_one_pass_over_Kn_per_table(monkeypatch):
     received = []
     real_filter = cohomology.filter_for_central
 
-    def counting_filter(labelings, spec, z, diagram):
+    def counting_filter(labelings, spec, z):
         received.append(len(labelings))
-        return real_filter(labelings, spec, z, diagram)
+        return real_filter(labelings, spec, z)
 
     monkeypatch.setattr(cohomology, "filter_for_central", counting_filter)
     spec = _cold(preset_spec("sc:A11"))
@@ -175,7 +175,7 @@ def test_cross_check_classifies_the_keyed_bucket(monkeypatch):
     assert checked == 33
     # The counter does see the congruence filter when one runs.
     kn = enumerate_Kn(spec.diagram(), 2)
-    filter_for_central(kn, spec, z, spec.diagram())
+    filter_for_central(kn, spec, z)
     assert calls == [p.labels for p in kn]
 
 
@@ -191,7 +191,7 @@ def test_coverage_check_fires(monkeypatch):
     with pytest.raises(InternalCheckError, match="cover"):
         nth_root_classes(spec, z, 3)
     kn = enumerate_Kn(spec.diagram(), 3)
-    kept = real_filter(kn, spec, z, spec.diagram())
+    kept = real_filter(kn, spec, z)
     foreign = next(p for p in kn if p not in kept)
     monkeypatch.setattr(
         cohomology, "filter_for_central", lambda *args: real_filter(*args)[1:] + [foreign]

@@ -23,6 +23,7 @@ from kacoh.labelings import (
 )
 from kacoh.lattice import (
     all_intermediate_specs,
+    check_central,
     dual_subgroup,
     enumerate_center,
     preset_spec,
@@ -248,7 +249,7 @@ def test_roots_points_are_nth_roots(types_rank6):
         spec = preset_spec(f"sc:{typ}")
         lattice = build_coweight_lattice(spec)
         for z in enumerate_center(spec):
-            zeta = lattice.central_representative(z)
+            zeta = [F(x, lattice.scale) for x in lattice._central(check_central(spec, z))[1]]
             for n in (1, 2):
                 result = nth_root_classes(spec, z, n)
                 for point in result.torus_points:

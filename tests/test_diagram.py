@@ -35,7 +35,13 @@ def test_a1_diagram():
 def test_e7_diagram_shape():
     d = ExtendedDiagram([T("E7")])
     assert d.num_vertices == 8
-    edges = {(d.local(a)[1], d.local(b)[1]) for a, b, _, _ in d.edges()}
+    ext = d.ext_cartan
+    edges = {
+        (d.local(a)[1], d.local(b)[1])
+        for a in range(d.num_vertices)
+        for b in range(a + 1, d.num_vertices)
+        if ext[a][b] or ext[b][a]
+    }
     assert edges == {(1, 2), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6), (6, 0)}
 
 

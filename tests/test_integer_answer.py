@@ -29,7 +29,7 @@ def _reference_extended_cartan(typ):
     rank = data.rank
     d = norms(data)
     bil = [[data.cartan[i][j] * d[j] for j in range(rank)] for i in range(rank)]
-    low = data.lowest_root
+    low = [-m for m in data.marks[:-1]]
     low_i = [sum(low[k] * bil[i][k] for k in range(rank)) for i in range(rank)]
     low_low = sum(low[i] * low_i[i] for i in range(rank))
     ext = [[0] * (rank + 1) for _ in range(rank + 1)]

@@ -150,8 +150,8 @@ def test_filter_for_central_a1():
     spec = preset_spec("sc:A1")
     trivial, nontrivial = enumerate_center(spec)
     k2 = enumerate_Kn(d, 2)
-    assert [p.labels for p in filter_for_central(k2, spec, trivial, d)] == [(0, 2), (2, 0)]
-    assert [p.labels for p in filter_for_central(k2, spec, nontrivial, d)] == [(1, 1)]
+    assert [p.labels for p in filter_for_central(k2, spec, trivial)] == [(0, 2), (2, 0)]
+    assert [p.labels for p in filter_for_central(k2, spec, nontrivial)] == [(1, 1)]
 
 
 def test_filter_for_central_partitions_kn(types_rank6):
@@ -163,7 +163,7 @@ def test_filter_for_central_partitions_kn(types_rank6):
             kn = enumerate_Kn(d, n)
             total = 0
             for z in enumerate_center(spec):
-                total += len(filter_for_central(kn, spec, z, d))
+                total += len(filter_for_central(kn, spec, z))
             assert total == len(kn), (typ, n)
 
 
@@ -202,12 +202,12 @@ def test_integer_filters_match_fraction_reference(types_rank6):
         for n in ns:
             kn = enumerate_Kn(d, n)
             weights = {
-                p: tuple(labeling_weight(spec, d, gen, p) for gen in spec.generators)
+                p: tuple(labeling_weight(d, gen, p) for gen in spec.generators)
                 for p in kn
             }
             for z in center:
                 expected = [p for p in kn if weights[p] == z.values]
-                assert filter_for_central(kn, spec, z, d) == expected, (spec, z, n)
+                assert filter_for_central(kn, spec, z) == expected, (spec, z, n)
             twists = {weights[q]: q for q in kn}.values() if sample else kn
             for q in twists:
                 expected = [p for p in kn if weights[p] == weights[q]]
@@ -223,7 +223,7 @@ def test_filter_for_central_value_outside_the_lattice():
     spec = preset_spec("sc:E7")
     d = spec.diagram()
     z = CentralElement(values=(F(1, 3),))
-    assert filter_for_central(enumerate_Kn(d, 3), spec, z, d) == []
+    assert filter_for_central(enumerate_Kn(d, 3), spec, z) == []
 
 
 def test_filter_matching_q_rejects_invalid():

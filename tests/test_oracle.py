@@ -12,6 +12,7 @@ from kacoh.cohomology import h1_inner_form, real_form_table, z_from_q
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
+    check_central,
     enumerate_center,
     preset_spec,
     trivial_central,
@@ -94,7 +95,7 @@ def test_inconsistent_central_rejected():
     spec = preset_spec("sc:E7")
     lattice = build_coweight_lattice(spec)
     with pytest.raises(SpecError):
-        lattice.central_representative(CentralElement(values=(F(1, 3),)))
+        lattice.central_coweight(CentralElement(values=(F(1, 3),)))
 
 
 def test_unmatched_central_key_is_internal(monkeypatch):
@@ -274,14 +275,18 @@ def test_budget_env_override(monkeypatch):
     # sc:A3 at n = 2 is 8 points: a budget of 8 answers, 7 refuses.
     spec = preset_spec("sc:A3")
     z = trivial_central(spec)
+    lattice = build_coweight_lattice(spec)
     monkeypatch.setenv("KACOH_ORACLE_MAX_POINTS", "8")
     assert cross_check(spec, z, 2).ok
+    assert len(enumerate_roots_of_z(lattice, z, 2)) == 8
     monkeypatch.setenv("KACOH_ORACLE_MAX_POINTS", "7")
     refusal = r"8 torus points, above the budget of 7 \(KACOH_ORACLE_MAX_POINTS\)"
     with pytest.raises(BudgetError, match=refusal):
         cross_check(spec, z, 2)
     with pytest.raises(BudgetError, match=refusal):
-        weyl_orbit_count(build_coweight_lattice(spec), z, 2)
+        weyl_orbit_count(lattice, z, 2)
+    with pytest.raises(BudgetError, match=refusal):
+        enumerate_roots_of_z(lattice, z, 2)
 
 
 def test_weyl_orbit_count_refuses_above_the_budget(monkeypatch):
@@ -293,6 +298,10 @@ def test_weyl_orbit_count_refuses_above_the_budget(monkeypatch):
     )
     with pytest.raises(BudgetError, match=f"{2 ** 40} torus points"):
         weyl_orbit_count(lattice, trivial_central(spec), 2)
+    # The public enumeration refuses them too, before it builds a point.
+    monkeypatch.setattr(lattice, "central_coweight", lambda z: pytest.fail("point built"))
+    with pytest.raises(BudgetError, match=f"{2 ** 40} torus points"):
+        enumerate_roots_of_z(lattice, trivial_central(spec), 2)
 
 
 def test_closure_refuses_n_above_byte_cap(monkeypatch):
@@ -339,12 +348,12 @@ def _built_and_read_back(a, w, v, n, monkeypatch):
     from kacoh import _orbit
 
     store = {}
-    built = _orbit._permutations([(a, w, v)], n, store)
+    built = [list(perm) for perm in _orbit._permutations([(a, w, v)], n, store)]
     (lanes,) = store.values()
     assert lanes is None or type(lanes) is bytes
     with monkeypatch.context() as m:
         m.setattr(_orbit, "_reflection_lanes", lambda *args: pytest.fail("built twice"))
-        assert _orbit._permutations([(a, w, v)], n, store) == built
+        assert [list(perm) for perm in _orbit._permutations([(a, w, v)], n, store)] == built
     return built
 
 
@@ -669,20 +678,20 @@ def test_root_index_locates_alcove_points():
             zeta = mat_vec(lattice.scaled_inverse, lattice.central_coweight(z))
             for n in (1, 2, 3):
                 points = enumerate_roots_of_z(lattice, z, n)
-                for p in filter_for_central(enumerate_Kn(d, n), spec, z, d):
+                for p in filter_for_central(enumerate_Kn(d, n), spec, z):
                     index = lattice.root_index(p, zeta)
                     assert points[index] == lattice.alcove_point(p), (preset, p)
         if len(enumerate_center(spec)) > 1:
             # A labeling of another central element is no root of z.
             z0, z1 = enumerate_center(spec)[:2]
-            p = filter_for_central(enumerate_Kn(d, 2), spec, z1, d)[0]
+            p = filter_for_central(enumerate_Kn(d, 2), spec, z1)[0]
             zeta = mat_vec(lattice.scaled_inverse, lattice.central_coweight(z0))
             assert lattice.root_index(p, zeta) is None
 
 
 def _reference_central_coweight(lattice, z):
     """The Fraction search that central_coweight replaced."""
-    from kacoh.lattice import _frac_mod1, check_central
+    from kacoh.lattice import _frac_mod1
 
     check_central(lattice.spec, z)
     _, coweight_basis = dense_coweight_hnf(lattice)
@@ -732,7 +741,8 @@ def test_central_coweight_matches_fraction_search(types_rank6):
             got = _outcome(lattice.central_coweight, z)
             assert got == _outcome(_reference_central_coweight, lattice, z), (spec, vals)
             if got[0] != "SpecError":
-                assert lattice.central_representative(z) == tuple(
+                zeta = lattice._central(check_central(spec, z))[1]
+                assert tuple(F(x, scale) for x in zeta) == tuple(
                     sum(a * b for a, b in zip(row, got)) for row in inverse
                 )
 
@@ -749,7 +759,7 @@ def test_phi_is_equivariant():
         lattice = build_coweight_lattice(spec)
         sub = dual_subgroup(spec)
         for z in enumerate_center(spec):
-            labelings = filter_for_central(enumerate_Kn(d, 2), spec, z, d)
+            labelings = filter_for_central(enumerate_Kn(d, 2), spec, z)
             orbit_of = {}
             for oi, orbit in enumerate(weyl_orbit_count(lattice, z, 2)):
                 for pt in orbit:

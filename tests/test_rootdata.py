@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.exactalg import identity, mat_mul, mat_vec
 from kacoh.rootdata import (
     SimpleType,
     SpecError,
+    all_roots,
     cartan_data,
     fundamental_coweight,
     highest_root,
@@ -21,9 +23,27 @@ def test_rank_constraints():
         with pytest.raises(SpecError):
             SimpleType(*bad)
     # Low-rank coincidences are allowed as aliases.
-    assert SimpleType("B", 2).is_alias
-    assert SimpleType("D", 3).is_alias
-    assert not SimpleType("D", 4).is_alias
+    assert SimpleType("B", 2).alias_of == "C2"
+    assert SimpleType("D", 3).alias_of == "A3"
+    assert SimpleType("D", 4).alias_of is None
+
+
+def test_alias_table(types_rank8):
+    # An alias and its target share the determinant, the marks up to order,
+    # the number of roots and the fundamental group.
+    def invariants(typ):
+        data = cartan_data(typ)
+        group = fundamental_group(ExtendedDiagram([typ]))
+        return data.det, tuple(sorted(data.marks)), len(all_roots(typ)), group.iso_tag
+
+    aliases = {}
+    for typ in types_rank8:
+        if typ.alias_of is not None:
+            aliases[str(typ)] = typ.alias_of
+            assert invariants(typ) == invariants(SimpleType.parse(typ.alias_of)), typ
+    assert aliases == {"B2": "C2", "D3": "A3"}
+    assert invariants(SimpleType("B", 2)) == (2, (1, 1, 2), 8, "Z2")
+    assert invariants(SimpleType("D", 3)) == (4, (1, 1, 1, 1), 12, "Z4")
 
 
 def test_parse():
@@ -37,7 +57,7 @@ def test_a1_data():
     data = cartan_data(SimpleType("A", 1))
     assert data.cartan == ((2,),)
     assert data.marks == (1, 1)
-    assert data.lowest_root == (-1,)
+    assert tuple(-m for m in data.marks[:-1]) == (-1,)
 
 
 def test_e7_marks():
@@ -139,7 +159,7 @@ def test_marks_relation(types_rank8):
     for typ in types_rank8:
         data = cartan_data(typ)
         assert highest_root(typ) == data.marks[:-1], typ
-        assert data.lowest_root in set(
+        assert tuple(-m for m in data.marks[:-1]) in set(
             tuple(-c for c in r) for r in positive_roots(typ)
         )
 
