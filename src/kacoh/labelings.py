@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from .diagram import (
@@ -27,7 +29,15 @@ from .diagram import (
     FundamentalGroupElement,
     permuted_labels,
 )
-from .lattice import CentralElement, GroupSpec, _frac_mod1, central_key, generator_rows
+from .lattice import (
+    CentralElement,
+    GroupSpec,
+    _frac_mod1,
+    _scaled,
+    _weight_generators,
+    central_key,
+    generator_rows,
+)
 from .rootdata import BudgetError, InternalCheckError, LabelingError
 
 
@@ -142,23 +152,22 @@ def _check_budget(diagram: ExtendedDiagram, n: int) -> None:
     )
 
 
-def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
-    """Every Kac n-labeling, in lexicographic order of the flat label tuple.
+@cache
+def _kn_table(diagram: ExtendedDiagram, n: int) -> tuple:
+    """K_n in lexicographic order, the index of each labeling's P-class, in
+    an ``array``, and the labels of each P-class's first labeling.
 
-    Each component's solutions are lexicographic over its own block of
-    slots and the blocks are laid out in component order, so extending
-    every solution so far by each solution of the next component, in
-    order, keeps the list lexicographic.  With ``congruence``, the
-    ``(m, columns)`` of :func:`_slot_columns`, the list holds
-    ``(key, labeling)`` pairs, each key the labeling's :func:`residue_key`,
-    carried by the enumeration as it places labels and added mod ``m``
-    across components.  A K_n of more than ``KACOH_MAX_LABELINGS``
-    labelings (default 10**6) raises BudgetError before any is built.
+    Built once per root system and n and kept for the life of the process,
+    like the diagram that every lattice of the root system shares
+    (:func:`kacoh.lattice._shared_diagram`).  Each component's solutions
+    are lexicographic over its own block of slots and the blocks are laid
+    out in component order, so extending every solution so far by each
+    solution of the next component, in order, keeps the list
+    lexicographic.  The enumeration carries the congruence key of X = P
+    (:func:`_weight_columns`), added mod ``m`` across components, and
+    numbers the keys in order of first appearance.
     """
-    if n < 1:
-        raise LabelingError(f"n must be positive, got {n}")
-    _check_budget(diagram, n)
-    m, columns = congruence or (1, ((),) * diagram.num_vertices)
+    m, columns = _weight_columns(diagram)
     solutions = _component_solutions(diagram, 0, n, columns, m)
     for k in range(1, len(diagram.components)):
         more = _component_solutions(diagram, k, n, columns, m)
@@ -167,9 +176,37 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
             for labels, key in solutions
             for tail, step in more
         ]
+    firsts = {}
+    for labels, key in solutions:
+        firsts.setdefault(key, labels)
+    index = {key: i for i, key in enumerate(firsts)}
+    classes = array("I", [index[key] for _, key in solutions])
+    return [KacLabeling(labels, n) for labels, _ in solutions], classes, tuple(firsts.values())
+
+
+def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
+    """Every Kac n-labeling, in lexicographic order of the flat label tuple.
+
+    K_n is enumerated once per root system and n (:func:`_kn_table`); each
+    call returns a new list of the same :class:`KacLabeling` objects.  With
+    ``congruence``, the ``(m, columns)`` of :func:`_slot_columns`, the list
+    holds ``(key, labeling)`` pairs, each key the labeling's
+    :func:`residue_key`.  The lattice X of the columns lies between Q and
+    P, so a labeling's key is a function of its key for X = P: it is
+    computed once per P-class, from the class's first labeling.  A K_n of
+    more than ``KACOH_MAX_LABELINGS`` labelings (default 10**6) raises
+    BudgetError on every call, before the table is read or built.
+    """
+    if n < 1:
+        raise LabelingError(f"n must be positive, got {n}")
+    _check_budget(diagram, n)
+    labelings, classes, firsts = _kn_table(diagram, n)
     if congruence is None:
-        return [KacLabeling(labels, n) for labels, _ in solutions]
-    return [(key, KacLabeling(labels, n)) for labels, key in solutions]
+        return list(labelings)
+    m, columns = congruence
+    rows = tuple(zip(*columns))
+    keys = [tuple([sum(map(mul, labels, row)) % m for row in rows]) for labels in firsts]
+    return [(keys[c], p) for c, p in zip(classes, labelings)]
 
 
 def labeling_weight(diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
@@ -183,16 +220,25 @@ def labeling_weight(diagram: ExtendedDiagram, generator, labeling: KacLabeling) 
     return _frac_mod1(total)
 
 
-def _slot_columns(spec: GroupSpec) -> tuple:
-    """``(m, columns)``: per slot of the diagram, its coefficient in each
-    generator row of :func:`generator_rows` mod ``m``, zero at the extra
-    vertices; the ``congruence`` of :func:`enumerate_Kn`."""
-    m, gens = generator_rows(spec)
-    diagram = spec.diagram()
-    columns = [(0,) * len(gens)] * diagram.num_vertices
-    for slot, column in zip(diagram.pi_slots, zip(*gens)):
+def _on_slots(diagram: ExtendedDiagram, m: int, rows) -> tuple:
+    """``(m, columns)``: per slot of the diagram, its coefficient in each of
+    the integer ``rows`` over the simple roots, zero at the extra vertices."""
+    columns = [(0,) * len(rows)] * diagram.num_vertices
+    for slot, column in zip(diagram.pi_slots, zip(*rows)):
         columns[slot] = column
     return m, tuple(columns)
+
+
+def _slot_columns(spec: GroupSpec) -> tuple:
+    """The generator rows of :func:`generator_rows` on the diagram slots;
+    the ``congruence`` of :func:`enumerate_Kn`."""
+    return _on_slots(spec.diagram(), *generator_rows(spec))
+
+
+@cache
+def _weight_columns(diagram: ExtendedDiagram) -> tuple:
+    """The congruence of X = P, from fundamental weights that generate P/Q."""
+    return _on_slots(diagram, *_scaled(_weight_generators(diagram.components)))
 
 
 def _slot_rows(spec: GroupSpec) -> tuple:
@@ -290,10 +336,12 @@ def congruence_classes(spec: GroupSpec, n: int, key, classify, enumerate_all) ->
 
     ``key`` names the class: the :func:`residue_key` of its labelings, or
     the :func:`kacoh.lattice.central_key` of their central element.  The
-    first call for ``(spec, n)`` enumerates K_n with
+    first call for ``(spec, n)`` asks for K_n with
     ``enumerate_all(diagram, n, congruence)`` and splits it, in one pass,
-    into buckets by the :func:`residue_key` that the enumeration carries
-    with each labeling.  The first call for a key keeps
+    into buckets by the :func:`residue_key` that comes with each labeling.
+    :func:`enumerate_Kn` enumerates K_n once per root system and n, so the
+    buckets of every lattice of a root system hold the same labeling
+    objects.  The first call for a key keeps
     ``classify(bucket)``, which must be the orbits of the bucket's
     labelings under the coweight classes of X, and drops the bucket.  The
     orbits must cover the bucket exactly; anything else is an internal

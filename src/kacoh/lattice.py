@@ -118,8 +118,9 @@ def _frac_mod1(x) -> Fraction:
 @lru_cache(maxsize=None)
 def _shared_diagram(components: tuple) -> ExtendedDiagram:
     """One diagram per component tuple, so that every lattice of the same
-    root system shares its derived data and its ``full_group``.  Kept for
-    the life of the process, like the per-type data of ``cartan_data``."""
+    root system shares its derived data, its ``full_group`` and each K_n
+    of :func:`kacoh.labelings.enumerate_Kn`.  Kept for the life of the
+    process, like the per-type data of ``cartan_data`` and those K_n."""
     return ExtendedDiagram(components)
 
 
@@ -222,8 +223,9 @@ def validate_spec(components, xq_generators) -> GroupSpec:
         for j, column in enumerate(columns):
             total = sum(c * ints[i] for i, c in column)
             if total % scale:
+                spelled = ", ".join(format_rational(x) for x in vec)
                 raise SpecError(
-                    f"generator {raw} is not a weight: pairing with coroot "
+                    f"generator [{spelled}] is not a weight: pairing with coroot "
                     f"{j + 1} is {Fraction(total, scale)}"
                 )
         gens.append(vec)

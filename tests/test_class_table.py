@@ -25,7 +25,7 @@ from kacoh.lattice import (
     preset_spec,
 )
 from kacoh.oracle import cross_check
-from kacoh.rootdata import InternalCheckError, SimpleType
+from kacoh.rootdata import BudgetError, InternalCheckError, SimpleType
 
 from conftest import simple_types
 
@@ -127,6 +127,49 @@ def test_labelings_enumerated_once_per_spec_and_n(monkeypatch):
             for n in (2, 3):
                 nth_root_classes(spec, z, n)
         assert enumerated == [2, 3], preset
+
+
+def test_one_enumeration_per_root_system(monkeypatch):
+    """Every lattice of a root system keys its labelings from one K_n."""
+    from kacoh import labelings
+
+    labelings._kn_table.cache_clear()
+    solved = []
+    real_solutions = labelings._component_solutions
+
+    def counting_solutions(diagram, k, n, columns, m):
+        solved.append((diagram.components, n, k))
+        return real_solutions(diagram, k, n, columns, m)
+
+    monkeypatch.setattr(labelings, "_component_solutions", counting_solutions)
+    a1 = SimpleType.parse("A1")
+    specs = [_cold(spec) for spec in all_intermediate_specs((a1, a1, a1))]
+    assert len(specs) == 16
+    for spec in specs:
+        for n in (1, 2, 3):
+            for z in enumerate_center(spec):
+                nth_root_classes(spec, z, n)
+    assert sorted(solved) == [((a1, a1, a1), n, k) for n in (1, 2, 3) for k in range(3)]
+    # The adjoint and the simply connected lattice hold the same objects.
+    adjoint, simply_connected = specs[0], specs[-1]
+    held = {
+        id(p)
+        for o in nth_root_classes(adjoint, enumerate_center(adjoint)[0], 2).classes
+        for p in o.members
+    }
+    members = [
+        p
+        for z in enumerate_center(simply_connected)
+        for o in nth_root_classes(simply_connected, z, 2).classes
+        for p in o.members
+    ]
+    assert len(members) == len(held) == 27 and {id(p) for p in members} == held
+    # The budget holds on a warm table.
+    monkeypatch.setenv("KACOH_MAX_LABELINGS", "26")
+    with pytest.raises(BudgetError, match="27 labelings"):
+        enumerate_Kn(specs[0].diagram(), 2)
+    with pytest.raises(BudgetError, match="27 labelings"):
+        nth_root_classes(_cold(simply_connected), enumerate_center(simply_connected)[0], 2)
 
 
 def test_one_pass_over_Kn_per_table(monkeypatch):

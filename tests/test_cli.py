@@ -357,6 +357,14 @@ def test_spec_file(tmp_path, capsys):
     assert code == 3 and out == "" and err == "error: cannot parse simple type 'd.json'\n"
 
 
+def test_spec_file_names_a_non_weight_as_the_document_spells_it(tmp_path, capsys):
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"components": ["A1"], "generators": [["1/3"]]}))
+    code, out, err = run(capsys, "roots", "--spec", str(path), "--z", "0", "--n", "2")
+    assert code == 3 and out == "" and err.count("\n") == 1 and "Fraction(" not in err
+    assert err == "error: generator [1/3] is not a weight: pairing with coroot 1 is 2/3\n"
+
+
 def test_determinism(capsys):
     outputs = set()
     for _ in range(3):

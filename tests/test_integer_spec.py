@@ -190,11 +190,14 @@ def ref_subgroups(components):
 
 
 def ref_weight_message(components, raw):
-    """The old weight check: ``None`` for a weight, else its error message."""
+    """The old weight check: ``None`` for a weight, else its error message,
+    which spells the generator as a spec document does."""
+    vec = tuple(Fraction(x) for x in raw)
     cartan_t = tuple(zip(*block_diag([cartan_data(t).cartan for t in components])))
-    for j, val in enumerate(mat_vec(cartan_t, tuple(Fraction(x) for x in raw))):
+    for j, val in enumerate(mat_vec(cartan_t, vec)):
         if Fraction(val).denominator != 1:
-            return f"generator {raw} is not a weight: pairing with coroot {j + 1} is {val}"
+            spelled = ", ".join(f"{x.numerator}/{x.denominator}" for x in vec)
+            return f"generator [{spelled}] is not a weight: pairing with coroot {j + 1} is {val}"
     return None
 
 

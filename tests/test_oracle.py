@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import rank5_products, simple_types
+from conftest import rank5_products, simple_types, sweep_lattices
 from dense_lattice import dense_coweight_hnf
 from kacoh import oracle
 from kacoh.cohomology import h1_inner_form, real_form_table, z_from_q
@@ -573,16 +573,12 @@ def test_product_sweep_rank5():
     # every lattice, every z.
     products = rank5_products()
     assert len(products) == 44
-    lattices = runs = 0
-    for comps in products:
-        for spec in all_intermediate_specs(comps):
-            lattices += 1
-            for z in enumerate_center(spec):
-                for n in (1, 2, 3):
-                    report = cross_check(spec, z, n)
-                    assert report.ok, (comps, spec.generators, n, report.failure)
-                    runs += 1
-    assert (lattices, runs) == (462, 5379)
+    assert sweep_lattices(products) == (462, 5379)
+
+
+def test_product_sweep_a1_5():
+    # Every lattice of A1^5, one per subgroup of (Z/2)^5, every z.
+    assert sweep_lattices([(SimpleType("A", 1),) * 5]) == (374, 7353)
 
 
 def _dense_reflections(spec):
