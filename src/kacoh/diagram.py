@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .exactalg import block_diag, mat_mul, mat_vec, vec_add
+from .exactalg import block_diag, grow, mat_mul, mat_vec, vec_add
 from .rootdata import (
     CartanData,
     InternalCheckError,
@@ -215,17 +215,6 @@ class FundamentalGroup:
         return self.elements[0]
 
     @cached_property
-    def iso_tag(self) -> str:
-        """Invariant-factor label like '1', 'Z2', 'Z4', 'Z2xZ2'.
-
-        The relative orders of the :func:`_staircase` of the elements'
-        sigmas; the first element is the identity.
-        """
-        sigmas = [e.sigma for e in self.elements]
-        stairs = _staircase(sigmas, sigmas[0], _compose)
-        return "x".join(f"Z{d}" for _, d in stairs) or "1"
-
-    @cached_property
     def label_actions(self) -> tuple:
         """Per element, an ``itemgetter`` over the inverse of its sigma.
 
@@ -241,12 +230,20 @@ class FundamentalGroup:
         return tuple(actions)
 
     def subgroup(self, elements) -> "FundamentalGroup":
-        sigmas = {e.sigma for e in elements}
-        sigmas.add(self.identity().sigma)
-        for g in sigmas:
-            for h in sigmas:
-                if _compose(g, h) not in sigmas:
-                    raise InternalCheckError("element set is not closed under product")
+        """The subgroup on the sigmas of ``elements`` and the identity.
+
+        Each sigma not in the span grown (:func:`kacoh.exactalg.grow`) so
+        far becomes a generator; the sigmas are a subgroup exactly when
+        composing any of them with a generator stays among them."""
+        identity = self.identity().sigma
+        sigmas = {identity} | {e.sigma for e in elements}
+        span, gens = {identity}, []
+        for e in elements:
+            if e.sigma not in span:
+                span = grow(span, e.sigma, _compose)
+                gens.append(e.sigma)
+        if any(_compose(s, g) not in sigmas for g in gens for s in sigmas):
+            raise InternalCheckError("element set is not closed under product")
         ordered = tuple(e for e in self.elements if e.sigma in sigmas)
         return FundamentalGroup(diagram=self.diagram, elements=ordered)
 
@@ -334,39 +331,6 @@ def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
         ):
             raise InternalCheckError("tabulated action is not a diagram automorphism")
     return FundamentalGroup(diagram=diagram, elements=tuple(elements))
-
-
-def _staircase(elements, zero, add) -> list:
-    """Greedy cyclic decomposition of the finite abelian group ``elements``.
-
-    Repeatedly picks the first element, in the order of ``elements``, of
-    maximal order relative to the span built so far.  Returns a list of
-    ``(generator, relative_order)``.  ``zero`` is the neutral element and
-    ``add`` the group law; elements must be hashable.
-    """
-    order = len(elements)
-    span = {zero}
-    stairs = []
-    while len(span) < order:
-        best = None
-        for e in elements:
-            if e in span:
-                continue
-            d, cur = 1, e
-            while cur not in span:
-                cur = add(cur, e)
-                d += 1
-            if best is None or d > best[1]:
-                best = (e, d)
-                if d == order // len(span):
-                    break  # no relative order is larger
-        gen, d = best
-        stairs.append(best)
-        coset = span
-        for _ in range(d - 1):
-            coset = {add(v, gen) for v in coset}
-            span |= coset
-    return stairs
 
 
 def sigma_geometric(data: CartanData, j: int) -> tuple:

@@ -8,7 +8,8 @@ take and return integers only: callers pass data already held in integers,
 such as the scaled coweights of :class:`kacoh.oracle.CoweightLattice`, so
 nothing here scales Fractions.  Reduction and coefficient solving take a triangular basis
 as its :func:`triangular_form`, so they touch only its nonzero entries.  The
-small helpers accept ints and Fractions alike.
+small helpers accept ints and Fractions alike.  Subgroups of a finite group,
+given by a law ``add`` on hashable elements, grow through :func:`grow`.
 """
 
 from __future__ import annotations
@@ -151,3 +152,58 @@ def basis_coefficients(vec: Sequence[int], triangular: Sequence) -> Vec | None:
                 x[k] -= q * a
         out.append(q)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Finite groups
+
+
+def mod_adder(m: int):
+    """The group law of ``(Z/m)^k`` on integer tuples."""
+    return lambda u, v: tuple([(a + b) % m for a, b in zip(u, v)])
+
+
+def grow(span, g, add):
+    """The subgroup generated by the finite subgroup ``span`` and ``g``.
+
+    The cosets ``span + k*g`` for k = 1, 2, ... are new until the first
+    whose first element is in ``span`` again, so ``len(result) // len(span)``
+    is the order of ``g`` modulo ``span``.  Returns ``span`` itself when
+    ``g`` is in it, and a new set otherwise.
+    """
+    if g in span:
+        return span
+    out, coset = set(span), list(span)
+    while True:
+        coset = [add(v, g) for v in coset]
+        if coset[0] in span:
+            return out
+        out.update(coset)
+
+
+def staircase(elements, zero, add) -> list:
+    """Greedy cyclic decomposition of the finite abelian group ``elements``.
+
+    Repeatedly picks the first element, in the order of ``elements``, of
+    maximal order relative to the span built so far, and grows the span by
+    it.  Returns a list of ``(generator, relative_order)``.
+    """
+    order = len(elements)
+    span = {zero}
+    stairs = []
+    while len(span) < order:
+        best = None
+        for e in elements:
+            if e in span:
+                continue
+            d, cur = 1, e
+            while cur not in span:
+                cur = add(cur, e)
+                d += 1
+            if best is None or d > best[1]:
+                best = (e, d)
+                if d == order // len(span):
+                    break  # no relative order is larger
+        stairs.append(best)
+        span = grow(span, best[0], add)
+    return stairs

@@ -35,11 +35,8 @@ from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import lcm
 
-from .diagram import (
-    ExtendedDiagram,
-    FundamentalGroup,
-    _staircase,
-)
+from .diagram import ExtendedDiagram, FundamentalGroup
+from .exactalg import grow, mod_adder, staircase
 from .rootdata import SimpleType, SpecError, cartan_data
 
 PRESETS = ("sc", "ad", "halfspin", "so")
@@ -145,22 +142,11 @@ def _fractions(vectors, den) -> dict:
 
 
 def _int_closure(gens, rank: int, den: int) -> set:
-    """The subgroup of ``(Z/den)^rank`` generated by ``gens``.
-
-    Adds one generator ``g`` at a time: the cosets ``H + k*g`` of the
-    subgroup ``H`` so far are new until the first that meets ``H``.  A
-    generator already in ``H`` adds nothing and is skipped.
-    """
-    out = {(0,) * rank}
+    """The subgroup of ``(Z/den)^rank`` generated by ``gens``: the trivial
+    subgroup grown (:func:`kacoh.exactalg.grow`) by each generator in turn."""
+    add, out = mod_adder(den), {(0,) * rank}
     for g in gens:
-        if g in out:
-            continue
-        coset = list(out)
-        while True:
-            coset = [tuple([(a + b) % den for a, b in zip(v, g)]) for v in coset]
-            if coset[0] in out:
-                break
-            out.update(coset)
+        out = grow(out, g, add)
     return out
 
 
@@ -176,16 +162,12 @@ def _closure(vectors, rank: int) -> set:
 def _xq(generators, rank: int) -> tuple:
     """X/Q as ``(den, closure, stairs)``, integer tuples mod ``den``.
 
-    ``stairs`` is the :func:`kacoh.diagram._staircase` of the closure in
+    ``stairs`` is the :func:`kacoh.exactalg.staircase` of the closure in
     lexicographic order, so its generators are the canonical ones.
     """
     den, gens = _scaled(generators)
     closure = _int_closure(gens, rank, den)
-
-    def add(u, v):
-        return tuple([(a + b) % den for a, b in zip(u, v)])
-
-    return den, closure, _staircase(sorted(closure), (0,) * rank, add)
+    return den, closure, staircase(sorted(closure), (0,) * rank, mod_adder(den))
 
 
 def _cartan_columns(components) -> list:
@@ -363,22 +345,22 @@ def trivial_central(spec: GroupSpec) -> CentralElement:
 def all_intermediate_specs(components) -> tuple:
     """Every lattice X with Q <= X <= P, as canonical GroupSpecs.
 
-    Starting from the trivial subgroup of P/Q, each subgroup found is closed
-    with one more element until no new subgroup appears.  Every subgroup is
-    reached: adding its elements one at a time passes only through
-    subgroups.  The elements of one coset ``e + sub`` all close ``sub`` to
-    the same subgroup, so only the first of each coset is tried.  Ordered
-    by subgroup size, then by sorted elements.  Each spec keeps what its
-    queries derive (:meth:`GroupSpec.derived`), so keeping the returned
-    tuple keeps the caches of every spec in it.
+    Starting from the trivial subgroup of P/Q, each subgroup found is grown
+    (:func:`kacoh.exactalg.grow`) by one more element until no new subgroup
+    appears.  Every subgroup is reached: adding its elements one at a time
+    passes only through subgroups.  The elements of one coset ``e + sub``
+    all grow ``sub`` to the same subgroup, so only the first of each coset
+    is tried.  Ordered by subgroup size, then by sorted elements.  Each
+    spec keeps what its queries derive (:meth:`GroupSpec.derived`), so
+    keeping the returned tuple keeps the caches of every spec in it.
     """
     comps = validate_spec(components, []).components
     full = validate_spec(comps, _weight_generators(comps))
     den, closure, _ = full.derived(_xq_group)
     elements = sorted(closure)
     frac = _fractions(elements, den)
-    rank = full.total_rank
-    trivial = frozenset(_int_closure([], rank, den))
+    add = mod_adder(den)
+    trivial = frozenset([(0,) * full.total_rank])
     found = {trivial: []}       # subgroup -> generators that close to it
     frontier = [trivial]
     while frontier:
@@ -389,8 +371,8 @@ def all_intermediate_specs(components) -> tuple:
             for e in elements:
                 if e in tried:
                     continue
-                tried.update(tuple([(a + b) % den for a, b in zip(e, h)]) for h in sub)
-                bigger = frozenset(_int_closure(gens + [e], rank, den))
+                tried.update(add(e, h) for h in sub)
+                bigger = frozenset(grow(sub, e, add))
                 if bigger not in found:
                     found[bigger] = gens + [e]
                     grown.append(bigger)
@@ -420,7 +402,7 @@ def _weight_generators(components) -> list:
     """Fundamental weights that generate P/Q, embedded as in :func:`_weight_basis`.
 
     Per component, the fundamental weights in order, each kept only if it
-    enlarges the integer closure of those kept so far, until the closure
+    grows the subgroup of ``(Z/det)^rank`` of those kept so far, until that
     has the ``det`` elements of P/Q.
     """
     total = sum(t.rank for t in components)
@@ -428,16 +410,15 @@ def _weight_generators(components) -> list:
     offset = 0
     for typ in components:
         data = cartan_data(typ)
-        det, kept = data.det, []
-        closure = _int_closure(kept, typ.rank, det)
+        det, add = data.det, mod_adder(data.det)
+        closure = {(0,) * typ.rank}
         for row in data.adjugate:  # row j: det times weight j+1 in root coordinates
             if len(closure) == det:
                 break
-            g = tuple([x % det for x in row])
-            if g in closure:
+            grown = grow(closure, tuple([x % det for x in row]), add)
+            if grown is closure:
                 continue
-            kept.append(g)
-            closure = _int_closure(kept, typ.rank, det)
+            closure = grown
             vec = [Fraction(0)] * total
             vec[offset:offset + typ.rank] = [Fraction(x, det) for x in row]
             out.append(tuple(vec))

@@ -49,8 +49,10 @@ from ._orbit import MAX_N, orbit_partition
 from .exactalg import (
     basis_coefficients,
     block_diag,
+    grow,
     hermite_mod,
     mat_vec,
+    mod_adder,
     reduce_mod_basis,
     triangular_form,
 )
@@ -322,26 +324,17 @@ class CoweightLattice:
         """Per coweight coordinate ``i``, the range of ``t_i`` in :meth:`_search_coweight`.
 
         The order of column ``i`` of the generator rows in ``(Z/m)^k``
-        modulo the subgroup that the later columns generate, found from the
-        last column to the first.  Every coweight class modulo X^vee has
-        exactly one ``t`` in the box.
+        modulo the subgroup that the later columns generate, by which column
+        ``i`` grows it (:func:`kacoh.exactalg.grow`), last column first.
+        Every coweight class modulo X^vee has exactly one ``t`` in the box.
         """
-        modulus, rows = self._modulus, self._rows
-        zero = (0,) * len(rows)
-        spanned = {zero}
+        add = mod_adder(self._modulus)
+        spanned = {(0,) * len(self._rows)}
         box = []
-        for column in reversed(list(zip(*rows)) or [zero] * self.rank):
-            order, multiple = 1, column
-            while multiple not in spanned:
-                order += 1
-                multiple = tuple([(a + b) % modulus for a, b in zip(multiple, column)])
-            if order > 1:
-                spanned = {
-                    tuple([(a + k * b) % modulus for a, b in zip(v, column)])
-                    for v in spanned
-                    for k in range(order)
-                }
-            box.append(order)
+        for column in reversed(list(zip(*self._rows)) or [()] * self.rank):
+            grown = grow(spanned, column, add)
+            box.append(len(grown) // len(spanned))
+            spanned = grown
         return tuple(reversed(box))
 
     def _search_coweight(self, key: tuple) -> tuple:

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from kacoh.diagram import _compose
+from kacoh.exactalg import staircase
 from kacoh.lattice import (
     all_intermediate_specs,
     enumerate_center,
@@ -22,6 +24,13 @@ def simple_types(max_rank: int):
         out.append(SimpleType("F", 4))
     out.append(SimpleType("G", 2))
     return out
+
+
+def iso_tag(group) -> str:
+    """Invariant-factor label of a fundamental group, like '1', 'Z4' or
+    'Z2xZ2': the relative orders of the staircase of its sigmas."""
+    sigmas = [e.sigma for e in group.elements]
+    return "x".join(f"Z{d}" for _, d in staircase(sigmas, sigmas[0], _compose)) or "1"
 
 
 def products(max_rank: int, min_rank: int = 2):

@@ -1,12 +1,16 @@
 import pytest
 
+from conftest import iso_tag
+from kacoh import diagram
 from kacoh.diagram import (
     ExtendedDiagram,
+    _compose,
     _component_sigmas,
     fundamental_group,
     render_diagram,
     sigma_geometric,
 )
+from kacoh.lattice import dual_subgroup, preset_spec
 from kacoh.rootdata import InternalCheckError, SimpleType, SpecError, cartan_data
 
 
@@ -59,14 +63,14 @@ def test_empty_rejected():
 
 def test_e7_table():
     g = fundamental_group(ExtendedDiagram((T("E7"),)))
-    assert g.order == 2 and g.iso_tag == "Z2"
+    assert g.order == 2 and iso_tag(g) == "Z2"
     m = vertex_map(g, g.elements[1])
     assert m == {1: 0, 0: 1, 2: 6, 6: 2, 3: 5, 5: 3, 4: 4, 7: 7}
 
 
 def test_d6_table():
     g = fundamental_group(ExtendedDiagram((T("D6"),)))
-    assert g.order == 4 and g.iso_tag == "Z2xZ2"
+    assert g.order == 4 and iso_tag(g) == "Z2xZ2"
     by_tag = {e.tags[0]: e for e in g.elements}
     m1 = vertex_map(g, by_tag[1])
     assert m1[0] == 1 and m1[1] == 0 and m1[5] == 6 and m1[6] == 5
@@ -75,7 +79,7 @@ def test_d6_table():
 
 def test_d5_table_four_cycle():
     g = fundamental_group(ExtendedDiagram((T("D5"),)))
-    assert g.order == 4 and g.iso_tag == "Z4"
+    assert g.order == 4 and iso_tag(g) == "Z4"
     by_tag = {e.tags[0]: e for e in g.elements}
     m = vertex_map(g, by_tag[4])
     assert m[0] == 4 and m[4] == 1 and m[1] == 5 and m[5] == 0
@@ -83,7 +87,7 @@ def test_d5_table_four_cycle():
 
 def test_e6_table():
     g = fundamental_group(ExtendedDiagram((T("E6"),)))
-    assert g.order == 3 and g.iso_tag == "Z3"
+    assert g.order == 3 and iso_tag(g) == "Z3"
     by_tag = {e.tags[0]: e for e in g.elements}
     m = vertex_map(g, by_tag[1])
     assert m[0] == 1 and m[1] == 5 and m[5] == 0
@@ -93,7 +97,7 @@ def test_e6_table():
 def test_trivial_groups():
     for t in ("E8", "F4", "G2"):
         g = fundamental_group(ExtendedDiagram((T(t),)))
-        assert g.order == 1 and g.iso_tag == "1"
+        assert g.order == 1 and iso_tag(g) == "1"
 
 
 def test_orders_and_tags(types_rank8):
@@ -142,7 +146,7 @@ def test_product_group():
     d = ExtendedDiagram([T("A1"), T("E6")])
     g = fundamental_group(d)
     assert g.order == 6
-    assert g.iso_tag == "Z6"
+    assert iso_tag(g) == "Z6"
 
 
 def test_geometric_matches_table(types_rank8):
@@ -162,6 +166,44 @@ def test_subgroup_closure_check():
     with pytest.raises(InternalCheckError):
         # two distinct involutions without their product
         g.subgroup([g.elements[0], g.elements[1], g.elements[2]])
+
+
+def _closed_pairwise(sigmas):
+    """The reference rule: composing every pair stays in the set."""
+    return all(_compose(g, h) in sigmas for g in sigmas for h in sigmas)
+
+
+def test_subgroup_check_is_the_pairwise_rule():
+    # Every subset, with the identity added, of six small groups: 432 sets.
+    checked = 0
+    for name in ("D4", "A3", "A5", "A1xA1xA1", "A1xA3", "D4xA1"):
+        g = fundamental_group(ExtendedDiagram(tuple(T(t) for t in name.split("x"))))
+        ident, others = g.identity(), g.elements[1:]
+        for mask in range(2 ** len(others)):
+            subset = [ident] + [e for i, e in enumerate(others) if mask >> i & 1]
+            if _closed_pairwise({e.sigma for e in subset}):
+                assert g.subgroup(subset).elements == tuple(subset), (name, mask)
+            else:
+                with pytest.raises(InternalCheckError):
+                    g.subgroup(subset)
+            checked += 1
+    assert checked == 432
+
+
+def test_subgroup_check_is_linear(monkeypatch):
+    # The full group of A400 is cyclic of order 401: growing its span and
+    # checking closure composes once per element each, where composing
+    # every pair would take 401**2 calls.
+    calls = 0
+
+    def counting(g, h):
+        nonlocal calls
+        calls += 1
+        return _compose(g, h)
+
+    monkeypatch.setattr(diagram, "_compose", counting)
+    assert dual_subgroup(preset_spec("ad:A400")).order == 401
+    assert calls <= 3 * 401
 
 
 def test_render_smoke(types_rank8):

@@ -2,11 +2,14 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import simple_types
+from kacoh.cohomology import nth_root_classes
 from kacoh.diagram import fundamental_group
 from kacoh.labelings import (
     act_on_labeling,
+    count_Kn,
     enumerate_Kn,
     filter_for_central,
     filter_matching_q,
@@ -16,9 +19,11 @@ from kacoh.lattice import (
     all_intermediate_specs,
     dual_subgroup,
     enumerate_center,
+    preset_spec,
     validate_spec,
+    xq_elements,
 )
-from kacoh.oracle import build_coweight_lattice
+from kacoh.oracle import MAX_POINTS, build_coweight_lattice, cross_check
 from kacoh.rootdata import SimpleType
 
 SMALL_TYPES = [
@@ -136,3 +141,43 @@ def test_generator_shift_leaves_filters_unchanged(sd, data):
         + list(spec.generators[1:]),
     )
     assert shifted == spec  # canonicalization absorbs integer shifts
+
+
+FACTORS = [t for t in simple_types(12) if t.alias_of is None]
+
+
+@st.composite
+def product_lattices(draw, max_rank=12):
+    """A product of simple types of total rank <= ``max_rank``, its lattice
+    generated by at most two elements of P/Q, a central element and n.
+
+    Hypothesis favours the first of each choice, so the draws list the
+    larger cases first: n = 3, several components, nonzero elements.
+    """
+    comps = []
+    for _ in range(draw(st.sampled_from((3, 2, 4, 1)))):
+        room = max_rank - sum(t.rank for t in comps)
+        fits = [t for t in FACTORS if t.rank <= room]
+        if fits:
+            comps.append(draw(st.sampled_from(fits)))
+    elements = xq_elements(preset_spec("sc:" + "x".join(map(str, comps))))[::-1]
+    picks = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2))
+    spec = validate_spec(comps, picks)
+    z = draw(st.sampled_from(enumerate_center(spec)))
+    return spec, z, draw(st.sampled_from((3, 2, 1)))
+
+
+def check_routes(spec, z, n):
+    """The labeling and torus routes agree class by class, where K_n has at
+    most 20,000 labelings and the torus at most ``MAX_POINTS`` points."""
+    assume(count_Kn(spec.diagram(), n) <= 20_000 and n ** spec.total_rank <= MAX_POINTS)
+    report = cross_check(spec, z, n)
+    assert report.ok, (spec.describe(), z, n, report.failure)
+    classes = len(nth_root_classes(spec, z, n).classes)
+    assert classes == report.kac_class_count == report.torus_class_count
+
+
+@given(product_lattices())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_routes_agree_on_random_product_lattices(case):
+    check_routes(*case)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import iso_tag
 from kacoh.diagram import ExtendedDiagram, fundamental_group
 from kacoh.exactalg import identity, mat_mul, mat_vec
 from kacoh.rootdata import (
@@ -34,7 +35,7 @@ def test_alias_table(types_rank8):
     def invariants(typ):
         data = cartan_data(typ)
         group = fundamental_group(ExtendedDiagram([typ]))
-        return data.det, tuple(sorted(data.marks)), len(all_roots(typ)), group.iso_tag
+        return data.det, tuple(sorted(data.marks)), len(all_roots(typ)), iso_tag(group)
 
     aliases = {}
     for typ in types_rank8:
