@@ -163,22 +163,23 @@ def mod_adder(m: int):
     return lambda u, v: tuple([(a + b) % m for a, b in zip(u, v)])
 
 
-def grow(span, g, add):
+def grow(span, g, add, coset=None):
     """The subgroup generated by the finite subgroup ``span`` and ``g``.
 
     The cosets ``span + k*g`` for k = 1, 2, ... are new until the first
     whose first element is in ``span`` again, so ``len(result) // len(span)``
-    is the order of ``g`` modulo ``span``.  Returns ``span`` itself when
-    ``g`` is in it, and a new set otherwise.
+    is the order of ``g`` modulo ``span``.  ``coset``, when given, is the
+    list ``span + g`` that the caller has already computed.  Returns
+    ``span`` itself when ``g`` is in it, and a new set otherwise.
     """
     if g in span:
         return span
-    out, coset = set(span), list(span)
-    while True:
-        coset = [add(v, g) for v in coset]
-        if coset[0] in span:
-            return out
+    out = set(span)
+    coset = [add(v, g) for v in span] if coset is None else coset
+    while coset[0] not in span:
         out.update(coset)
+        coset = [add(v, g) for v in coset]
+    return out
 
 
 def staircase(elements, zero, add) -> list:

@@ -15,6 +15,7 @@ the tail, so the all-zero labeling with 2 at the extra vertex is
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from array import array
@@ -33,10 +34,8 @@ from .lattice import (
     CentralElement,
     GroupSpec,
     _frac_mod1,
-    _scaled,
     _weight_generators,
     central_key,
-    generator_rows,
 )
 from .rootdata import BudgetError, InternalCheckError, LabelingError
 
@@ -165,23 +164,32 @@ def _kn_table(diagram: ExtendedDiagram, n: int) -> tuple:
     solution of the next component, in order, keeps the list
     lexicographic.  The enumeration carries the congruence key of X = P
     (:func:`_weight_columns`), added mod ``m`` across components, and
-    numbers the keys in order of first appearance.
+    numbers the keys in order of first appearance.  The cyclic garbage
+    collector is paused for the build: the tuples and labelings it makes
+    hold no cycle, and each collection would walk all of them made so far.
     """
-    m, columns = _weight_columns(diagram)
-    solutions = _component_solutions(diagram, 0, n, columns, m)
-    for k in range(1, len(diagram.components)):
-        more = _component_solutions(diagram, k, n, columns, m)
-        solutions = [
-            (labels + tail, tuple([(a + b) % m for a, b in zip(key, step)]))
-            for labels, key in solutions
-            for tail, step in more
-        ]
-    firsts = {}
-    for labels, key in solutions:
-        firsts.setdefault(key, labels)
-    index = {key: i for i, key in enumerate(firsts)}
-    classes = array("I", [index[key] for _, key in solutions])
-    return [KacLabeling(labels, n) for labels, _ in solutions], classes, tuple(firsts.values())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m, columns = _weight_columns(diagram)
+        solutions = _component_solutions(diagram, 0, n, columns, m)
+        for k in range(1, len(diagram.components)):
+            more = _component_solutions(diagram, k, n, columns, m)
+            solutions = [
+                (labels + tail, tuple([(a + b) % m for a, b in zip(key, step)]))
+                for labels, key in solutions
+                for tail, step in more
+            ]
+        firsts = {}
+        for labels, key in solutions:
+            firsts.setdefault(key, labels)
+        index = {key: i for i, key in enumerate(firsts)}
+        classes = array("I", [index[key] for _, key in solutions])
+        labelings = [KacLabeling(labels, n) for labels, _ in solutions]
+        return labelings, classes, tuple(firsts.values())
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
@@ -230,15 +238,15 @@ def _on_slots(diagram: ExtendedDiagram, m: int, rows) -> tuple:
 
 
 def _slot_columns(spec: GroupSpec) -> tuple:
-    """The generator rows of :func:`generator_rows` on the diagram slots;
-    the ``congruence`` of :func:`enumerate_Kn`."""
-    return _on_slots(spec.diagram(), *generator_rows(spec))
+    """The spec's rows on the diagram slots; the ``congruence`` of
+    :func:`enumerate_Kn`."""
+    return _on_slots(spec.diagram(), spec.den, spec.rows)
 
 
 @cache
 def _weight_columns(diagram: ExtendedDiagram) -> tuple:
     """The congruence of X = P, from fundamental weights that generate P/Q."""
-    return _on_slots(diagram, *_scaled(_weight_generators(diagram.components)))
+    return _on_slots(diagram, *_weight_generators(diagram.components))
 
 
 def _slot_rows(spec: GroupSpec) -> tuple:

@@ -1,25 +1,25 @@
 """Character lattices between root and weight lattice, and the center.
 
 A group is specified by its simple components plus generators of the
-quotient X/Q, each given as the rational coefficient vector of a weight in
-the simple-root basis (the entries at mark-1 vertices are exactly its
-pairings with the generating coweight classes, which is what every
-congruence condition downstream consumes).
+quotient X/Q, each a weight given by its rational coefficient vector in the
+simple-root basis (the entries at mark-1 vertices are exactly its pairings
+with the generating coweight classes, which is what every congruence
+condition downstream consumes).
 
 A class in P/Q is faithfully represented by its coefficient vector reduced
 into [0,1) per entry (two weights are congruent mod Q iff the vectors agree).
-Scaled by ``D``, the lcm of the generator denominators, such a vector is an
-integer tuple mod ``D``, and X/Q is kept in that form alone: the closure,
-the staircase of canonical generators and the generator rows
-(:func:`generator_rows`) are integer tuples mod ``D``.  The weight check
-pairs each generator, scaled by the lcm of its own denominators, with the
-integer Cartan columns.  Fractions are built only for ``spec.generators``,
-:func:`xq_elements`, :func:`_closure` and the central elements.  Scaling by
-a positive constant keeps the lexicographic order, so the canonical
-generators are those of the Fraction vectors.
+Scaled by ``den``, the lcm of the generator denominators, such a vector is
+an integer tuple mod ``den``, and a :class:`GroupSpec` holds X/Q in that form
+alone.  :func:`validate_spec` is the one door for Fraction generators: it
+checks that each is a weight and scales them once; the presets and the
+lattice sweep hand the constructor integer rows.  Fractions are built only
+for ``spec.generators``, :func:`xq_elements`, :func:`_closure` and the
+central elements, which texts and callers outside the integer layer read.
+Scaling by a positive constant keeps the lexicographic order, so the
+canonical generators are those of the Fraction vectors.
 
 The coweight classes pair perfectly with P/Q, and :func:`_coweight_keys`
-maps each to its key, its pairings with the generators times ``D``.  The
+maps each to its key, its pairings with the generators times ``den``.  The
 dual subgroup is the classes of key zero and the center is the set of keys;
 :func:`central_key` is the one map from a central element to its key.
 """
@@ -31,9 +31,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product
-from math import lcm
+from math import gcd, lcm
 
 from .diagram import ExtendedDiagram, FundamentalGroup
 from .exactalg import grow, mod_adder, staircase
@@ -44,10 +44,37 @@ PRESETS = ("sc", "ad", "halfspin", "so")
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A lattice Q <= X <= P: ``rows`` are the canonical generators of X/Q
+    times ``den``, the lcm of their denominators, in ``[0, den)``.
+
+    Built from any rows over any ``den``: ``den`` is divided by its gcd with
+    every entry, the rows are closed into ``closure`` (the elements of X/Q),
+    and the staircase of the sorted closure becomes the rows.
+    """
+
     components: tuple                 # SimpleType, ...
-    generators: tuple                 # canonical generator vectors over the roots
-    # What :meth:`derived` has built from the two fields above.
+    den: int
+    rows: tuple
+    closure: set = field(init=False, repr=False, compare=False)
+    # What :meth:`derived` has built from the fields above.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rank = self.total_rank
+        common = gcd(self.den, *chain.from_iterable(self.rows))
+        den = self.den // common
+        closure = _int_closure(
+            [tuple([a // common % den for a in row]) for row in self.rows], rank, den
+        )
+        stairs = staircase(sorted(closure), (0,) * rank, mod_adder(den))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", tuple(g for g, _ in stairs))
+        object.__setattr__(self, "closure", closure)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The canonical generators as Fraction vectors."""
+        return tuple(_fractions(self.rows, self.den))
 
     @property
     def total_rank(self) -> int:
@@ -56,11 +83,11 @@ class GroupSpec:
     def derived(self, build):
         """``build(self)``, built on the first call and kept with the spec.
 
-        Data that depends on the spec alone (diagram, groups, the X/Q
-        closure, the coweight lattice, integer generator rows, the texts
-        of its document, the class table of :mod:`kacoh.labelings`) is
-        derived through here, so repeated queries on one spec build each
-        part once.  The results are shared: callers must not mutate them.
+        Data that depends on the spec alone (diagram, groups, the coweight
+        lattice, the texts of its document, the class table of
+        :mod:`kacoh.labelings`) is derived through here, so repeated queries
+        on one spec build each part once.  The results are shared: callers
+        must not mutate them.
         Two of them fill themselves in as queries arrive: the class table,
         which only :mod:`kacoh.labelings` touches, and the coweight lattice,
         which keeps the central coweights, reflection permutations,
@@ -80,9 +107,7 @@ class GroupSpec:
         comps = "x".join(str(t) for t in self.components)
         if not self.generators:
             return f"{comps} (adjoint lattice)"
-        gens = "; ".join(
-            "(" + ", ".join(str(x) for x in g) + ")" for g in self.generators
-        )
+        gens = "; ".join("(" + ", ".join(map(str, g)) + ")" for g in self.generators)
         return f"{comps} with X/Q generated by {gens}"
 
 
@@ -127,18 +152,15 @@ def _build_diagram(spec: GroupSpec) -> ExtendedDiagram:
 
 def _scaled(vectors) -> tuple:
     """``(den, rows)``: ``den`` the lcm of all denominators, each vector
-    times ``den`` as an integer tuple reduced mod ``den``."""
+    times ``den`` as an integer tuple, not reduced."""
     den = lcm(*(x.denominator for vec in vectors for x in vec))
-    return den, [
-        tuple([x.numerator * (den // x.denominator) % den for x in vec])
-        for vec in vectors
-    ]
+    return den, [tuple([x.numerator * (den // x.denominator) for x in vec]) for vec in vectors]
 
 
-def _fractions(vectors, den) -> dict:
-    """Each integer tuple over ``den`` mapped to its Fraction tuple."""
+def _fractions(vectors, den) -> list:
+    """Each integer tuple over ``den`` as its Fraction tuple, in order."""
     frac = {a: Fraction(a, den) for a in set(chain.from_iterable(vectors))}
-    return {vec: tuple(frac[a] for a in vec) for vec in vectors}
+    return [tuple(frac[a] for a in vec) for vec in vectors]
 
 
 def _int_closure(gens, rank: int, den: int) -> set:
@@ -156,18 +178,7 @@ def _closure(vectors, rank: int) -> set:
     For callers outside the integer layer, such as ``perfbench/freeze.py``.
     """
     den, gens = _scaled(vectors)
-    return set(_fractions(_int_closure(gens, rank, den), den).values())
-
-
-def _xq(generators, rank: int) -> tuple:
-    """X/Q as ``(den, closure, stairs)``, integer tuples mod ``den``.
-
-    ``stairs`` is the :func:`kacoh.exactalg.staircase` of the closure in
-    lexicographic order, so its generators are the canonical ones.
-    """
-    den, gens = _scaled(generators)
-    closure = _int_closure(gens, rank, den)
-    return den, closure, staircase(sorted(closure), (0,) * rank, mod_adder(den))
+    return set(_fractions(_int_closure(gens, rank, den), den))
 
 
 def _cartan_columns(components) -> list:
@@ -185,60 +196,38 @@ def _cartan_columns(components) -> list:
 
 
 def validate_spec(components, xq_generators) -> GroupSpec:
-    """Check generators live in the weight lattice and canonicalize them."""
-    comps = tuple(
-        t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components
-    )
+    """The spec of Fraction generators, each checked to be a weight.
+
+    The generators are scaled to integer rows once; the weight check pairs
+    each row with the integer Cartan columns, and the rows build the spec.
+    """
+    comps = tuple(t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in components)
     if not comps:
         raise SpecError("empty component list")
     rank = sum(t.rank for t in comps)
     columns = _cartan_columns(comps)
-    gens = []
-    for raw in xq_generators:
-        vec = tuple(Fraction(x) for x in raw)
+    vectors = [tuple(Fraction(x) for x in raw) for raw in xq_generators]
+    den, rows = _scaled(vectors)
+    for vec, row in zip(vectors, rows):
         if len(vec) != rank:
-            raise SpecError(
-                f"generator has {len(vec)} coefficients, expected {rank}"
-            )
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (scale // x.denominator) for x in vec]
+            raise SpecError(f"generator has {len(vec)} coefficients, expected {rank}")
         for j, column in enumerate(columns):
-            total = sum(c * ints[i] for i, c in column)
-            if total % scale:
+            total = sum(c * row[i] for i, c in column)
+            if total % den:
                 spelled = ", ".join(format_rational(x) for x in vec)
                 raise SpecError(
                     f"generator [{spelled}] is not a weight: pairing with coroot "
-                    f"{j + 1} is {Fraction(total, scale)}"
+                    f"{j + 1} is {Fraction(total, den)}"
                 )
-        gens.append(vec)
-    group = _xq(gens, rank)
-    den, _, stairs = group
-    frac = _fractions([g for g, _ in stairs], den)
-    spec = GroupSpec(components=comps, generators=tuple(frac[g] for g, _ in stairs))
-    # The canonical generators span the same subgroup with the same
-    # denominators, so its closure and staircase are the ones just computed.
-    spec._derived[_xq_group] = group
-    return spec
-
-
-def _xq_group(spec: GroupSpec) -> tuple:
-    return _xq(spec.generators, spec.total_rank)
-
-
-def generator_rows(spec: GroupSpec) -> tuple:
-    """``(den, rows)``: the canonical generators times ``den``, the lcm of
-    their denominators, as integer tuples in ``[0, den)``."""
-    den, _, stairs = spec.derived(_xq_group)
-    return den, tuple(g for g, _ in stairs)
+    return GroupSpec(comps, den, rows)
 
 
 def xq_order(spec: GroupSpec) -> int:
-    return len(spec.derived(_xq_group)[1])
+    return len(spec.closure)
 
 
 def xq_elements(spec: GroupSpec) -> tuple:
-    den, closure, _ = spec.derived(_xq_group)
-    return tuple(_fractions(sorted(closure), den).values())
+    return tuple(_fractions(sorted(spec.closure), spec.den))
 
 
 def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: int = 0) -> Fraction:
@@ -264,8 +253,8 @@ def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: i
 def _coweight_keys(spec: GroupSpec) -> dict:
     """Each coweight class modulo the coroots, named by its tags (per
     component 0 or a mark-1 vertex), mapped to its key: the sum of each
-    :func:`generator_rows` row at the tags, mod ``den``."""
-    den, gens = generator_rows(spec)
+    row of ``spec.rows`` at the tags, mod ``spec.den``."""
+    den, gens = spec.den, spec.rows
     offsets = tuple(accumulate((t.rank for t in spec.components), initial=0))
     choices = [
         [0] + [j for j, mark in enumerate(cartan_data(t).marks[:-1], 1) if mark == 1]
@@ -291,9 +280,8 @@ def dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
 
 def _center(spec: GroupSpec) -> dict:
     """The central elements by key, in increasing key order."""
-    den, _ = generator_rows(spec)
     return {
-        key: CentralElement(values=tuple(Fraction(a, den) for a in key))
+        key: CentralElement(values=tuple(Fraction(a, spec.den) for a in key))
         for key in sorted(set(spec.derived(_coweight_keys).values()))
     }
 
@@ -312,8 +300,7 @@ def central_key(spec: GroupSpec, z: CentralElement):
 
     ``None`` when that is not integral or not the key of a central element.
     """
-    den, _ = generator_rows(spec)
-    scaled = [divmod(v.numerator * den, v.denominator) for v in z.values]
+    scaled = [divmod(v.numerator * spec.den, v.denominator) for v in z.values]
     key = tuple(k for k, _ in scaled)
     if any(r for _, r in scaled) or key not in spec.derived(_center):
         return None
@@ -322,10 +309,9 @@ def central_key(spec: GroupSpec, z: CentralElement):
 
 def check_central(spec: GroupSpec, z: CentralElement) -> tuple:
     """The :func:`central_key` of ``z``; rejects values that are no homomorphism on X/Q."""
-    if len(z.values) != len(spec.generators):
+    if len(z.values) != len(spec.rows):
         raise SpecError(
-            f"central element carries {len(z.values)} values, "
-            f"expected {len(spec.generators)}"
+            f"central element carries {len(z.values)} values, expected {len(spec.rows)}"
         )
     key = central_key(spec, z)
     if key is None:
@@ -335,7 +321,7 @@ def check_central(spec: GroupSpec, z: CentralElement) -> tuple:
 
 
 def trivial_central(spec: GroupSpec) -> CentralElement:
-    return CentralElement(values=tuple(Fraction(0) for _ in spec.generators))
+    return CentralElement(values=tuple(Fraction(0) for _ in spec.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +336,15 @@ def all_intermediate_specs(components) -> tuple:
     appears.  Every subgroup is reached: adding its elements one at a time
     passes only through subgroups.  The elements of one coset ``e + sub``
     all grow ``sub`` to the same subgroup, so only the first of each coset
-    is tried.  Ordered by subgroup size, then by sorted elements.  Each
-    spec keeps what its queries derive (:meth:`GroupSpec.derived`), so
-    keeping the returned tuple keeps the caches of every spec in it.
+    is tried, and the coset is handed to ``grow`` as its first.  Ordered by
+    subgroup size, then by sorted elements; each spec is built from the
+    integer rows of its subgroup.  Each spec keeps what its queries derive
+    (:meth:`GroupSpec.derived`), so keeping the returned tuple keeps the
+    caches of every spec in it.
     """
     comps = validate_spec(components, []).components
-    full = validate_spec(comps, _weight_generators(comps))
-    den, closure, _ = full.derived(_xq_group)
-    elements = sorted(closure)
-    frac = _fractions(elements, den)
+    full = GroupSpec(comps, *_weight_generators(comps))
+    den, elements = full.den, sorted(full.closure)
     add = mod_adder(den)
     trivial = frozenset([(0,) * full.total_rank])
     found = {trivial: []}       # subgroup -> generators that close to it
@@ -371,14 +357,15 @@ def all_intermediate_specs(components) -> tuple:
             for e in elements:
                 if e in tried:
                     continue
-                tried.update(add(e, h) for h in sub)
-                bigger = frozenset(grow(sub, e, add))
+                coset = [add(h, e) for h in sub]
+                tried.update(coset)
+                bigger = frozenset(grow(sub, e, add, coset))
                 if bigger not in found:
                     found[bigger] = gens + [e]
                     grown.append(bigger)
         frontier = grown
     return tuple(
-        validate_spec(comps, [frac[g] for g in gens])
+        GroupSpec(comps, den, gens)
         for _, gens in sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     )
 
@@ -398,15 +385,17 @@ def _weight_basis(components) -> list:
     return out
 
 
-def _weight_generators(components) -> list:
-    """Fundamental weights that generate P/Q, embedded as in :func:`_weight_basis`.
+def _weight_generators(components) -> tuple:
+    """``(den, rows)``: fundamental weights that generate P/Q, embedded as in
+    :func:`_weight_basis`, times ``den``, the lcm of the determinants.
 
     Per component, the fundamental weights in order, each kept only if it
     grows the subgroup of ``(Z/det)^rank`` of those kept so far, until that
     has the ``det`` elements of P/Q.
     """
     total = sum(t.rank for t in components)
-    out = []
+    den = lcm(*(cartan_data(t).det for t in components))
+    rows = []
     offset = 0
     for typ in components:
         data = cartan_data(typ)
@@ -415,15 +404,16 @@ def _weight_generators(components) -> list:
         for row in data.adjugate:  # row j: det times weight j+1 in root coordinates
             if len(closure) == det:
                 break
-            grown = grow(closure, tuple([x % det for x in row]), add)
+            local = tuple([x % det for x in row])
+            grown = grow(closure, local, add)
             if grown is closure:
                 continue
             closure = grown
-            vec = [Fraction(0)] * total
-            vec[offset:offset + typ.rank] = [Fraction(x, det) for x in row]
-            out.append(tuple(vec))
+            vec = [0] * total
+            vec[offset:offset + typ.rank] = [x * (den // det) for x in local]
+            rows.append(tuple(vec))
         offset += typ.rank
-    return out
+    return den, rows
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +439,24 @@ def preset_spec(text: str) -> GroupSpec:
     name, _, typestr = text.partition(":")
     comps = tuple(SimpleType.parse(t) for t in typestr.split("x"))
     if name == "sc":
-        return validate_spec(comps, _weight_generators(comps))
+        return GroupSpec(comps, *_weight_generators(comps))
     if name == "ad":
-        return validate_spec(comps, [])
+        return GroupSpec(comps, 1, ())
     if name == "halfspin":
         typ = _single_component(comps, name)
         if typ.family != "D" or typ.rank % 2 or typ.rank < 4:
             raise SpecError("halfspin needs a single D component of even rank >= 4")
-        vec = [Fraction(0)] * typ.rank
+        row = [0] * typ.rank
         for i in list(range(1, typ.rank - 2, 2)) + [typ.rank]:
-            vec[i - 1] = Fraction(1, 2)
-        return validate_spec(comps, [tuple(vec)])
+            row[i - 1] = 1
+        return GroupSpec(comps, 2, (tuple(row),))
     if name == "so":
         typ = _single_component(comps, name)
         if typ.family == "B":
-            return validate_spec(comps, [])
+            return GroupSpec(comps, 1, ())
         if typ.family == "D":
             data = cartan_data(typ)
-            return validate_spec(comps, [tuple(Fraction(x, data.det) for x in data.adjugate[0])])
+            return GroupSpec(comps, data.det, (data.adjugate[0],))
         raise SpecError("so needs a single B or D component")
     raise SpecError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
 

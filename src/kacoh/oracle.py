@@ -64,7 +64,7 @@ from .labelings import (
     filter_for_central,  # not called here: perfbench/spans.py wraps this attribute
     orbit_decompose,
 )
-from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, format_rational, generator_rows, spec_to_document
+from .lattice import CentralElement, GroupSpec, check_central, dual_subgroup, format_rational, spec_to_document
 from .rootdata import BudgetError, InternalCheckError, LabelingError, cartan_data
 
 
@@ -155,7 +155,6 @@ class CoweightLattice:
             slots[slot] = coweight
         self._slot_coweights = tuple(slots)
 
-        self._modulus, self._rows = generator_rows(spec)
         hnf = self._coroot_hermite(blocks, coweights)
         for i, col in enumerate(hnf):
             if any(col[:i]) or col[i] <= 0:
@@ -293,7 +292,7 @@ class CoweightLattice:
         (:func:`kacoh.exactalg.hermite_mod`).  ``coweights`` holds the
         scaled fundamental coweights, one per simple coroot.
         """
-        modulus, rows, scale, rank = self._modulus, self._rows, self.scale, self.rank
+        modulus, rows, scale, rank = self.spec.den, self.spec.rows, self.scale, self.rank
         offsets = itertools.accumulate((d.rank for d in blocks), initial=0)
         choices = [
             [None] + [off + j for j, mark in enumerate(d.marks[:-1]) if mark == 1]
@@ -328,19 +327,19 @@ class CoweightLattice:
         ``i`` grows it (:func:`kacoh.exactalg.grow`), last column first.
         Every coweight class modulo X^vee has exactly one ``t`` in the box.
         """
-        add = mod_adder(self._modulus)
-        spanned = {(0,) * len(self._rows)}
+        add = mod_adder(self.spec.den)
+        spanned = {(0,) * len(self.spec.rows)}
         box = []
-        for column in reversed(list(zip(*self._rows)) or [()] * self.rank):
+        for column in reversed(list(zip(*self.spec.rows)) or [()] * self.rank):
             grown = grow(spanned, column, add)
             box.append(len(grown) // len(spanned))
             spanned = grown
         return tuple(reversed(box))
 
     def _search_coweight(self, key: tuple) -> tuple:
-        modulus = self._modulus
+        modulus, rows = self.spec.den, self.spec.rows
         free = [i for i, d in enumerate(self._box) if d > 1]
-        checks = tuple(([row[i] for i in free], target) for row, target in zip(self._rows, key))
+        checks = tuple(([row[i] for i in free], target) for row, target in zip(rows, key))
         for values in itertools.product(*(range(self._box[i]) for i in free)):
             if all(
                 (sum(c * v for c, v in zip(row, values)) - target) % modulus == 0

@@ -11,7 +11,6 @@ coordinates and put in Hermite form.
 from typing import Sequence
 
 from kacoh.exactalg import mat_vec
-from kacoh.lattice import generator_rows
 
 
 def column_style_hermite(columns: Sequence[Sequence[int]]) -> list:
@@ -76,7 +75,7 @@ def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int, dim: int) ->
 def dense_coweight_hnf(lattice) -> tuple:
     """``(hnf, tbasis)`` of ``lattice`` by the dense route: its Hermite basis
     and the congruence lattice it was mapped from."""
-    modulus, rows = generator_rows(lattice.spec)
+    modulus, rows = lattice.spec.den, lattice.spec.rows
     tbasis = congruence_lattice(rows, modulus, lattice.rank)
     hnf = column_style_hermite([mat_vec(lattice.scaled_inverse, t) for t in tbasis])
     return tuple(hnf), tuple(tbasis)

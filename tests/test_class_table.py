@@ -39,7 +39,7 @@ def _sweep_specs():
 
 def _cold(spec):
     """An equal spec that has built nothing yet."""
-    return GroupSpec(components=spec.components, generators=spec.generators)
+    return GroupSpec(components=spec.components, den=spec.den, rows=spec.rows)
 
 
 def _reference(spec, n, select, *args) -> tuple:

@@ -13,7 +13,7 @@ from kacoh.exactalg import (
     reduce_mod_basis,
     triangular_form,
 )
-from kacoh.lattice import all_intermediate_specs, generator_rows
+from kacoh.lattice import all_intermediate_specs
 from kacoh.oracle import CoweightLattice
 
 
@@ -29,7 +29,7 @@ def test_congruence_lattice_is_the_hermite_basis_of_its_definition():
     points = 0
     for spec in specs:
         rank = spec.total_rank
-        m, rows = generator_rows(spec)
+        m, rows = spec.den, spec.rows
         basis = congruence_lattice(rows, m, rank)
         # Hermite shape: lower triangular columns, positive pivots, and the
         # entries left of each pivot reduced into [0, pivot).
@@ -79,7 +79,7 @@ def test_triangular_kernels_match_dense_loops(types_rank8):
     bases = [
         congruence_lattice(rows, m, spec.total_rank)
         for spec in _lattice_specs()
-        for m, rows in [generator_rows(spec)]
+        for m, rows in [(spec.den, spec.rows)]
     ]
     bases += [
         CoweightLattice(spec).hnf

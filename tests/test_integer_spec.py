@@ -14,7 +14,7 @@ import pytest
 
 from kacoh import lattice
 from kacoh.diagram import ExtendedDiagram, fundamental_group
-from kacoh.exactalg import block_diag, mat_mul, mat_vec
+from kacoh.exactalg import block_diag, mat_mul, mat_vec, mod_adder, staircase
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -22,7 +22,6 @@ from kacoh.lattice import (
     check_central,
     dual_subgroup,
     enumerate_center,
-    generator_rows,
     pairing,
     preset_spec,
     validate_spec,
@@ -207,7 +206,8 @@ def assert_matches_reference(spec, closure):
     stairs = ref_staircase(closure, rank)
     assert spec.generators == tuple(g for g, _, _ in stairs)
     # X/Q is held as integer tuples over the lcm of the generator denominators.
-    den, int_closure, int_stairs = spec.derived(lattice._xq_group)
+    den, int_closure = spec.den, spec.closure
+    int_stairs = staircase(sorted(int_closure), (0,) * rank, mod_adder(den))
     assert den == math.lcm(*(x.denominator for g in spec.generators for x in g))
 
     def frac(vec):
@@ -216,7 +216,7 @@ def assert_matches_reference(spec, closure):
 
     assert {frac(v) for v in int_closure} == closure
     assert [(frac(g), d) for g, d in int_stairs] == [(g, d) for g, d, _ in stairs]
-    assert generator_rows(spec) == (den, tuple(g for g, _ in int_stairs))
+    assert spec.rows == tuple(g for g, _ in int_stairs)
     assert xq_order(spec) == len(closure)
     assert xq_elements(spec) == tuple(sorted(closure))
     assert enumerate_center(spec) == ref_center(stairs)
@@ -271,7 +271,7 @@ def test_check_central_matches_relation_reference():
         for spec in all_intermediate_specs(comps):
             rank = spec.total_rank
             stairs = ref_staircase(ref_closure(spec.generators, rank), rank)
-            den, _ = generator_rows(spec)
+            den = spec.den
             tuples = [z.values for z in enumerate_center(spec)]
             tuples += [
                 tuple(
@@ -296,7 +296,7 @@ def test_check_central_matches_relation_reference():
 def test_central_key_round_trips_the_center():
     for comps in _groups():
         for spec in all_intermediate_specs(comps):
-            den, _ = generator_rows(spec)
+            den = spec.den
             center = enumerate_center(spec)
             keys = [central_key(spec, z) for z in center]
             assert keys == sorted(set(keys)), spec

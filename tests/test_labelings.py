@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction as F
 
@@ -428,3 +429,32 @@ def test_enumeration_refuses_a_Kn_above_the_budget(monkeypatch):
     # before anything of size n is built.
     with pytest.raises(BudgetError, match="at least 10000000000000000000001 labelings"):
         enumerate_Kn(D("A1"), 10 ** 22)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_kn_table_builds_with_the_collector_paused(enabled):
+    # A cold K_2 of sc:A60 makes 1,891 labelings: enough allocations for
+    # several collections if the collector ran during the build.
+    from kacoh import labelings
+
+    diagram = preset_spec("sc:A60").diagram()
+    labelings._kn_table.cache_clear()
+    labelings._weight_columns.cache_clear()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(hook)
+    try:
+        table = labelings._kn_table(diagram, 2)
+        after = gc.isenabled()
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if before else gc.disable)()
+    assert len(table[0]) == 1891
+    assert starts == []
+    assert after is enabled

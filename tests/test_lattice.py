@@ -257,7 +257,7 @@ def test_int_closure_matches_coset_loop():
     # runs a coset pass for every generator.  The doubled lists skip every
     # repeated generator.
     from conftest import simple_types
-    from kacoh.lattice import _int_closure, _scaled
+    from kacoh.lattice import _int_closure
 
     specs = [
         spec
@@ -270,7 +270,7 @@ def test_int_closure_matches_coset_loop():
     specs += [preset_spec(f"so:{f}{r}") for f in "BD" for r in range(4, 13)]
     assert len(specs) == 67 + 15 + 67 + 2 * 49 + 5 + 18
     for spec in specs:
-        den, gens = _scaled(spec.generators)
+        den, gens = spec.den, list(spec.rows)
         rank = spec.total_rank
         for gs in (gens, gens + gens[::-1]):
             assert _int_closure(gs, rank, den) == _coset_loop_closure(gs, rank, den), spec
@@ -279,13 +279,12 @@ def test_int_closure_matches_coset_loop():
 def _element_loop_specs(components):
     """all_intermediate_specs as it was first written: every subgroup is
     closed with every element outside it, one element per coset or not."""
-    from kacoh.lattice import _fractions, _int_closure, _weight_basis, _xq_group, validate_spec
+    from kacoh.lattice import _fractions, _int_closure, _weight_basis, validate_spec
 
     comps = tuple(SimpleType.parse(t) for t in components)
     full = validate_spec(comps, _weight_basis(comps))
-    den, closure, _ = full.derived(_xq_group)
-    elements = sorted(closure)
-    frac = _fractions(elements, den)
+    den, elements = full.den, sorted(full.closure)
+    frac = dict(zip(elements, _fractions(elements, den)))
     rank = full.total_rank
     trivial = frozenset(_int_closure([], rank, den))
     found = {trivial: []}
@@ -348,3 +347,46 @@ def test_sc_presets_match_the_full_weight_basis():
         comps = tuple(SimpleType.parse(t) for t in name.split("x"))
         full = validate_spec(comps, _weight_basis(comps))
         assert preset_spec(f"sc:{name}") == full, name
+
+
+PRESET_NAMES = (
+    [f"sc:{t}" for t in ("A1", "A7", "B4", "C5", "D4", "D7", "E6", "E7", "E8", "F4", "G2")]
+    + ["sc:A1xA1xA1", "sc:D4xA3", "ad:A5", "ad:D4xE6", "so:B5", "so:D4", "so:D9"]
+    + [f"halfspin:D{r}" for r in range(4, 21, 2)]
+)
+
+
+def test_no_spec_passes_through_fractions_inside_the_package(monkeypatch):
+    # validate_spec and _scaled are the Fraction door; the presets, the
+    # lattice sweep and the congruence of X = P build from integer rows.
+    from kacoh import labelings, lattice
+
+    calls = []
+    for name in ("validate_spec", "_scaled"):
+        def counted(*args, _real=getattr(lattice, name), _name=name):
+            calls.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(lattice, name, counted)
+
+    assert len(all_intermediate_specs(("A1",) * 3)) == 16
+    validated = [args for name, args in calls if name == "validate_spec"]
+    assert len(validated) <= 1 and all(not gens for _, gens in validated)
+    assert all(not args[0] for name, args in calls if name == "_scaled")
+    for name in PRESET_NAMES:
+        calls.clear()
+        spec = lattice.preset_spec(name)
+        labelings._weight_columns.cache_clear()
+        labelings._weight_columns(spec.diagram())
+        assert calls == [], name
+
+
+def test_validate_spec_rebuilds_every_spec_from_its_generators():
+    from conftest import products
+
+    specs = [spec for comps in products(4) for spec in all_intermediate_specs(comps)]
+    specs += [preset_spec(name) for name in PRESET_NAMES]
+    for spec in specs:
+        again = validate_spec(spec.components, spec.generators)
+        assert again == spec and hash(again) == hash(spec), spec
+        assert spec_to_document(again) == spec_to_document(spec)
+        assert again.describe() == spec.describe()
