@@ -201,8 +201,9 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
     holds ``(key, labeling)`` pairs, each key the labeling's
     :func:`residue_key`.  The lattice X of the columns lies between Q and
     P, so a labeling's key is a function of its key for X = P: it is
-    computed once per P-class, from the class's first labeling.  A K_n of
-    more than ``KACOH_MAX_LABELINGS`` labelings (default 10**6) raises
+    computed once per P-class, from the class's first labeling.  The pairs
+    are built with the cyclic garbage collector paused, as K_n is.  A K_n
+    of more than ``KACOH_MAX_LABELINGS`` labelings (default 10**6) raises
     BudgetError on every call, before the table is read or built.
     """
     if n < 1:
@@ -213,8 +214,14 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
         return list(labelings)
     m, columns = congruence
     rows = tuple(zip(*columns))
-    keys = [tuple([sum(map(mul, labels, row)) % m for row in rows]) for labels in firsts]
-    return [(keys[c], p) for c, p in zip(classes, labelings)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        keys = [tuple([sum(map(mul, labels, row)) % m for row in rows]) for labels in firsts]
+        return [(keys[c], p) for c, p in zip(classes, labelings)]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def labeling_weight(diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:

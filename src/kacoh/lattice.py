@@ -14,9 +14,10 @@ alone.  :func:`validate_spec` is the one door for Fraction generators: it
 checks that each is a weight and scales them once; the presets and the
 lattice sweep hand the constructor integer rows.  Fractions are built only
 for ``spec.generators``, :func:`xq_elements`, :func:`_closure` and the
-central elements, which texts and callers outside the integer layer read.
-Scaling by a positive constant keeps the lexicographic order, so the
-canonical generators are those of the Fraction vectors.
+central elements of :func:`enumerate_center`, which callers outside the
+integer layer read; :func:`central_key` and the document texts read the
+integer rows.  Scaling by a positive constant keeps the lexicographic
+order, so the canonical generators are those of the Fraction vectors.
 
 The coweight classes pair perfectly with P/Q, and :func:`_coweight_keys`
 maps each to its key, its pairings with the generators times ``den``.  The
@@ -278,11 +279,17 @@ def dual_subgroup(spec: GroupSpec) -> FundamentalGroup:
     return spec.derived(_dual_subgroup)
 
 
+def _central_keys(spec: GroupSpec) -> frozenset:
+    """The keys of the central elements."""
+    return frozenset(spec.derived(_coweight_keys).values())
+
+
 def _center(spec: GroupSpec) -> dict:
-    """The central elements by key, in increasing key order."""
+    """The central elements by key, in increasing key order, for
+    :func:`enumerate_center` and :func:`kacoh.cohomology.z_from_q`."""
     return {
         key: CentralElement(values=tuple(Fraction(a, spec.den) for a in key))
-        for key in sorted(set(spec.derived(_coweight_keys).values()))
+        for key in sorted(spec.derived(_central_keys))
     }
 
 
@@ -302,7 +309,7 @@ def central_key(spec: GroupSpec, z: CentralElement):
     """
     scaled = [divmod(v.numerator * spec.den, v.denominator) for v in z.values]
     key = tuple(k for k, _ in scaled)
-    if any(r for _, r in scaled) or key not in spec.derived(_center):
+    if any(r for _, r in scaled) or key not in spec.derived(_central_keys):
         return None
     return key
 
@@ -494,10 +501,16 @@ def spec_from_document(doc) -> GroupSpec:
 
 
 def _document_texts(spec: GroupSpec) -> tuple:
-    """The component names and the generator texts of the spec document."""
+    """The component names and the generator texts of the spec document:
+    the :func:`format_rational` of each entry of ``spec.generators``,
+    spelled from its integer over ``spec.den``."""
+    den = spec.den
     return (
         tuple(str(t) for t in spec.components),
-        tuple(tuple(format_rational(x) for x in g) for g in spec.generators),
+        tuple(
+            tuple([f"{a // g}/{den // g}" for a in row for g in [gcd(a, den)]])
+            for row in spec.rows
+        ),
     )
 
 

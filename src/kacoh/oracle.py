@@ -41,11 +41,12 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from operator import add, mul
 
 from ._orbit import MAX_N, orbit_partition
+from .diagram import ExtendedDiagram
 from .exactalg import (
     basis_coefficients,
     block_diag,
@@ -102,6 +103,44 @@ MAX_POINTS = 1 << 16
 _POINTS_VARIABLE = "KACOH_ORACLE_MAX_POINTS"
 
 
+@cache
+def _root_data(diagram: ExtendedDiagram) -> tuple:
+    """``(cartan, scale, scaled_inverse, coweights, slot_coweights, classes)``
+    of a root system, read by every coweight lattice of it.
+
+    The block-diagonal Cartan matrix; ``scale``, the lcm of the
+    denominators of its inverse; ``scale`` times that inverse and its
+    columns, the scaled fundamental coweights; the coweight of each label
+    slot, None at the extra vertices, whose labels do not enter; and the
+    coweight classes modulo the coroots in tag order (per component none or
+    a mark-1 vertex), each as the root indices of its tags, the identity's
+    ``()`` first.  Built from :func:`kacoh.rootdata.cartan_data` alone, not
+    from the coset data of :mod:`kacoh.lattice`, and kept for the life of
+    the process per shared diagram, like K_n (:func:`kacoh.labelings._kn_table`).
+    """
+    blocks = [cartan_data(t) for t in diagram.components]
+    # The inverse Cartan matrix of a block is adjugate / det; its entries
+    # share the denominator det / gcd(det, adjugate entries).
+    scale = lcm(
+        *(d.det // gcd(d.det, *itertools.chain.from_iterable(d.adjugate)) for d in blocks)
+    )
+    scaled_inverse = block_diag(
+        [[[x * scale // d.det for x in row] for row in d.adjugate] for d in blocks]
+    )
+    coweights = tuple(zip(*scaled_inverse))
+    slots = [None] * diagram.num_vertices
+    for slot, coweight in zip(diagram.pi_slots, coweights):
+        slots[slot] = coweight
+    offsets = itertools.accumulate((d.rank for d in blocks), initial=0)
+    choices = [
+        [()] + [(off + j,) for j, mark in enumerate(d.marks[:-1]) if mark == 1]
+        for off, d in zip(offsets, blocks)
+    ]
+    classes = tuple(sum(tags, ()) for tags in itertools.product(*choices))
+    cartan = block_diag([d.cartan for d in blocks])
+    return cartan, scale, scaled_inverse, coweights, tuple(slots), classes
+
+
 class CoweightLattice:
     """The cocharacter lattice of X inside the coweight lattice.
 
@@ -113,6 +152,9 @@ class CoweightLattice:
     integer coordinates once multiplied by ``scale``.  Points are reduced in
     that scaling, times a factor where their denominators need one, against
     ``triangular``, the :func:`kacoh.exactalg.triangular_form` of ``hnf``.
+    ``cartan``, ``scale`` and ``scaled_inverse`` depend on the components
+    alone and are the objects of :func:`_root_data`, shared by every lattice
+    of the root system.
 
     For the reflection closure it also derives, per simple root ``alpha_i``,
     the integer rows ``root_pairings[i][j] = <alpha_i, hnf_j / scale>`` and
@@ -136,26 +178,15 @@ class CoweightLattice:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.rank = spec.total_rank
-        blocks = [cartan_data(t) for t in spec.components]
-        self.cartan = block_diag([d.cartan for d in blocks])
-        # The inverse Cartan matrix of a block is adjugate / det; its entries
-        # share the denominator det / gcd(det, adjugate entries).
-        scale = lcm(
-            *(d.det // gcd(d.det, *itertools.chain.from_iterable(d.adjugate)) for d in blocks)
-        )
-        self.scale = scale
-        self.scaled_inverse = block_diag(
-            [[[x * scale // d.det for x in row] for row in d.adjugate] for d in blocks]
-        )
-        # Per label slot, scale times the fundamental coweight of its simple
-        # coroot; None at the extra vertices, whose labels do not enter.
-        coweights = list(zip(*self.scaled_inverse))
-        slots = [None] * spec.diagram().num_vertices
-        for slot, coweight in zip(spec.diagram().pi_slots, coweights):
-            slots[slot] = coweight
-        self._slot_coweights = tuple(slots)
-
-        hnf = self._coroot_hermite(blocks, coweights)
+        (
+            self.cartan,
+            self.scale,
+            self.scaled_inverse,
+            coweights,
+            self._slot_coweights,
+            classes,
+        ) = _root_data(spec.diagram())
+        hnf = self._coroot_hermite(coweights, classes)
         for i, col in enumerate(hnf):
             if any(col[:i]) or col[i] <= 0:
                 raise InternalCheckError("lattice basis is not triangular")
@@ -172,7 +203,7 @@ class CoweightLattice:
 
     @cached_property
     def _reflection_rows(self) -> tuple:
-        return _reflection_coefficients(self.cartan, self.hnf, self.scale)
+        return _reflection_coefficients(self.cartan, self.hnf, self.scale, self.triangular)
 
     @property
     def root_pairings(self) -> tuple:
@@ -278,36 +309,29 @@ class CoweightLattice:
             found = self._centrals[key] = (t, mat_vec(self.scaled_inverse, t))
         return found
 
-    def _coroot_hermite(self, blocks, coweights) -> list:
+    def _coroot_hermite(self, coweights, classes) -> list:
         """The scaled Hermite basis of X^vee, from the coroots and a few coweight classes.
 
         X^vee is spanned by the coroots, ``scale * e_i`` in this scaling,
         and the coweight classes whose pairings with the generators of X/Q
-        vanish.  A class is named by its tags (per component none or a
-        mark-1 vertex), its coweight is the sum of the tagged fundamental
-        coweights, and its pairings are the sums of the generator rows at
-        the tags.  The classes are tried in tag order until the basis spans
-        as many classes as vanish, and a class is kept only when it enlarges
-        the basis, so a cyclic X^vee / Q^vee costs one column
-        (:func:`kacoh.exactalg.hermite_mod`).  ``coweights`` holds the
-        scaled fundamental coweights, one per simple coroot.
+        vanish.  ``classes`` names each class by the root indices of its
+        tags (:func:`_root_data`): its coweight is the sum of the scaled
+        fundamental ``coweights`` there, and its pairings are the sums of
+        the generator rows there.  The classes are tried in tag order until
+        the basis spans as many classes as vanish, and a class is kept only
+        when it enlarges the basis, so a cyclic X^vee / Q^vee costs one
+        column (:func:`kacoh.exactalg.hermite_mod`).
         """
         modulus, rows, scale, rank = self.spec.den, self.spec.rows, self.scale, self.rank
-        offsets = itertools.accumulate((d.rank for d in blocks), initial=0)
-        choices = [
-            [None] + [off + j for j, mark in enumerate(d.marks[:-1]) if mark == 1]
-            for off, d in zip(offsets, blocks)
-        ]
-        classes = [
+        vanishing = [
             slots
-            for tags in itertools.product(*choices)
-            for slots in [[s for s in tags if s is not None]]
+            for slots in classes
             if not any(sum(row[s] for s in slots) % modulus for row in rows)
         ]
         hnf = hermite_mod([], scale, rank)
         columns, spanned = [], 1
-        for slots in classes[1:]:  # the first is the identity's
-            if spanned == len(classes):
+        for slots in vanishing[1:]:  # the first is the identity's
+            if spanned == len(vanishing):
                 break
             column = [sum(x) for x in zip(*(coweights[s] for s in slots))]
             grown = hermite_mod(columns + [column], scale, rank)
@@ -315,7 +339,7 @@ class CoweightLattice:
             if order > spanned:
                 columns.append(column)
                 hnf, spanned = grown, order
-        if spanned != len(classes):
+        if spanned != len(vanishing):
             raise InternalCheckError("coweight classes do not span the cocharacter lattice")
         return hnf
 
@@ -352,7 +376,7 @@ class CoweightLattice:
         raise InternalCheckError("central element has no representative coweight")
 
 
-def _reflection_coefficients(cartan, hnf, scale) -> tuple:
+def _reflection_coefficients(cartan, hnf, scale, triangular=None) -> tuple:
     """``(w, v)`` of the reflection closure on the lattice basis ``hnf / scale``.
 
     ``w[i][j] = <alpha_i, hnf_j> / scale`` pairs each simple root with each
@@ -360,19 +384,33 @@ def _reflection_coefficients(cartan, hnf, scale) -> tuple:
     ``alpha_i^vee`` (``scale`` times the i-th unit vector) in ``hnf``.  Both
     are integral exactly when the lattice sits between the coroots and the
     coweights; a division that is not exact raises InternalCheckError.
+    Both walk the nonzero entries of ``hnf`` only, as its
+    :func:`kacoh.exactalg.triangular_form` (``triangular``, when the caller
+    holds it): a pairing adds, per nonzero entry ``hnf_j[k]``, the nonzero
+    entries of Cartan column ``k``.
     """
     rank = len(cartan)
-    triangular = triangular_form(hnf)
+    if triangular is None:
+        triangular = triangular_form(hnf)
     v = []
     for i in range(rank):
-        coefficients = basis_coefficients([scale * int(k == i) for k in range(rank)], triangular)
+        coroot = [0] * rank
+        coroot[i] = scale
+        coefficients = basis_coefficients(coroot, triangular)
         if coefficients is None:
             raise InternalCheckError("coroot lattice not contained in basis")
         v.append(coefficients)
-    pairings = [mat_vec(cartan, col) for col in hnf]
-    if any(x % scale for col in pairings for x in col):
-        raise InternalCheckError("basis vector outside the coweights")
-    w = tuple(tuple(col[i] // scale for col in pairings) for i in range(rank))
+    columns = [[(i, a) for i, a in enumerate(col) if a] for col in zip(*cartan)]
+    pairings = []
+    for j, (pivot, below) in enumerate(triangular):
+        col = [0] * rank
+        for k, x in itertools.chain([(j, pivot)], below):
+            for i, a in columns[k]:
+                col[i] += a * x
+        if any(x % scale for x in col):
+            raise InternalCheckError("basis vector outside the coweights")
+        pairings.append([x // scale for x in col])
+    w = tuple(zip(*pairings))
     return w, tuple(v)
 
 

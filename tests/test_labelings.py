@@ -431,15 +431,10 @@ def test_enumeration_refuses_a_Kn_above_the_budget(monkeypatch):
         enumerate_Kn(D("A1"), 10 ** 22)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_kn_table_builds_with_the_collector_paused(enabled):
-    # A cold K_2 of sc:A60 makes 1,891 labelings: enough allocations for
-    # several collections if the collector ran during the build.
-    from kacoh import labelings
-
-    diagram = preset_spec("sc:A60").diagram()
-    labelings._kn_table.cache_clear()
-    labelings._weight_columns.cache_clear()
+def _collections_during(build, enabled):
+    """``build()``, the generations of the collections that started during
+    it with the collector on or off as ``enabled``, and whether it was on
+    when ``build`` returned."""
     starts = []
 
     def hook(phase, info):
@@ -450,11 +445,35 @@ def test_kn_table_builds_with_the_collector_paused(enabled):
     (gc.enable if enabled else gc.disable)()
     gc.callbacks.append(hook)
     try:
-        table = labelings._kn_table(diagram, 2)
+        result = build()
         after = gc.isenabled()
     finally:
         gc.callbacks.remove(hook)
         (gc.enable if before else gc.disable)()
+    return result, starts, after
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_kn_table_builds_with_the_collector_paused(enabled):
+    # A cold K_2 of sc:A60 makes 1,891 labelings, and the keyed call on a
+    # warm K_2 of sc:A100 5,151 pairs, more than the free list of pairs
+    # holds: enough allocations for several collections if the collector
+    # ran during either build.
+    from kacoh import labelings
+
+    diagram = preset_spec("sc:A60").diagram()
+    labelings._kn_table.cache_clear()
+    labelings._weight_columns.cache_clear()
+    table, starts, after = _collections_during(lambda: labelings._kn_table(diagram, 2), enabled)
     assert len(table[0]) == 1891
+    assert starts == []
+    assert after is enabled
+    spec = preset_spec("sc:A100")
+    congruence = labelings._slot_columns(spec)
+    kn = enumerate_Kn(spec.diagram(), 2)
+    pairs, starts, after = _collections_during(
+        lambda: enumerate_Kn(spec.diagram(), 2, congruence), enabled
+    )
+    assert len(pairs) == 5151 and [p for _, p in pairs] == kn
     assert starts == []
     assert after is enabled

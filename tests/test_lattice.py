@@ -390,3 +390,18 @@ def test_validate_spec_rebuilds_every_spec_from_its_generators():
         assert again == spec and hash(again) == hash(spec), spec
         assert spec_to_document(again) == spec_to_document(spec)
         assert again.describe() == spec.describe()
+
+
+def test_document_texts_spell_the_generators():
+    # The texts are spelled from the integer rows; format_rational over the
+    # Fraction generators is the reference.
+    from conftest import products, simple_types
+    from kacoh.lattice import _document_texts, format_rational
+
+    groups = products(4) + [(t,) for t in simple_types(8)]
+    specs = [spec for comps in groups for spec in all_intermediate_specs(comps)]
+    specs += [preset_spec(name) for name in PRESET_NAMES]
+    for spec in specs:
+        components, texts = _document_texts(spec)
+        assert components == tuple(str(t) for t in spec.components)
+        assert texts == tuple(tuple(format_rational(x) for x in g) for g in spec.generators), spec

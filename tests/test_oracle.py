@@ -164,6 +164,44 @@ def test_witness_path_builds_no_closure_rows():
     )
 
 
+def test_one_root_data_per_root_system():
+    """Every coweight lattice of a root system reads one table of root data."""
+    oracle._root_data.cache_clear()
+    a1 = SimpleType.parse("A1")
+    lattices = [build_coweight_lattice(spec) for spec in all_intermediate_specs((a1, a1, a1))]
+    assert len(lattices) == 16
+    assert oracle._root_data.cache_info().misses == 1
+    first = lattices[0]
+    for lattice in lattices:
+        assert lattice.cartan is first.cartan
+        assert lattice.scaled_inverse is first.scaled_inverse
+        assert lattice._slot_coweights is first._slot_coweights
+
+
+def test_queries_build_no_central_elements(monkeypatch):
+    # central_key reads the keys alone; the CentralElements of _center are
+    # for enumerate_center and z_from_q.
+    from kacoh import lattice as lattice_module
+    from kacoh.cohomology import nth_root_classes
+    from kacoh.labelings import enumerate_Kn
+
+    def no_center(spec):
+        raise AssertionError("a query built the central elements")
+
+    for preset in ("sc:A3xA1", "halfspin:D6", "sc:E6", "so:D5"):
+        center = enumerate_center(preset_spec(preset))
+        spec = preset_spec(preset)
+        with monkeypatch.context() as patched:
+            patched.setattr(lattice_module, "_center", no_center)
+            for z in center:
+                check_central(spec, z)
+                assert cross_check(spec, z, 2).ok
+                nth_root_classes(spec, z, 3)
+            for twist in enumerate_Kn(spec.diagram(), 2)[::7]:
+                h1_inner_form(spec, twist)
+        assert enumerate_center(spec) == center
+
+
 def test_cross_check_e7():
     for preset, expected in (("sc:E7", [4, 2]), ("ad:E7", [4])):
         spec = preset_spec(preset)
