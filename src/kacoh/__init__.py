@@ -22,12 +22,10 @@ from .diagram import (
     FundamentalGroupElement,
     fundamental_group,
     render_diagram,
-    sigma_geometric,
 )
 from .labelings import (
     KacLabeling,
     LabelingOrbit,
-    act_on_labeling,
     compact_labeling,
     enumerate_Kn,
     filter_for_central,
@@ -43,7 +41,6 @@ from .lattice import (
     dual_subgroup,
     enumerate_center,
     load_spec,
-    pairing,
     preset_spec,
     validate_spec,
 )
@@ -63,10 +60,7 @@ from .rootdata import (
     LabelingError,
     SimpleType,
     SpecError,
-    WeylElement,
     cartan_data,
-    fundamental_coweight,
-    longest_element,
 )
 
 __version__ = "0.1.0"

@@ -152,10 +152,10 @@ def nth_root_classes(spec: GroupSpec, z: CentralElement, n: int) -> RootsResult:
 
     Orbits of the congruence-filtered n-labelings under the coweight classes
     of X, looked up in the spec's class table, with the torus point of each
-    representative as witness.
+    representative as witness.  The coweight lattice of the witnesses is
+    built after the lookup, so a K_n over the budget is refused first.
     """
     key = check_central(spec, z)
-    lattice = build_coweight_lattice(spec)
     orbits = congruence_classes(
         spec,
         n,
@@ -163,6 +163,7 @@ def nth_root_classes(spec: GroupSpec, z: CentralElement, n: int) -> RootsResult:
         lambda all_n: orbit_decompose(filter_for_central(all_n, spec, z), dual_subgroup(spec)),
         enumerate_Kn,
     )
+    lattice = build_coweight_lattice(spec)
     points = tuple(phi(o.representative, spec, lattice) for o in orbits)
     return RootsResult(z=z, n=n, classes=orbits, torus_points=points)
 

@@ -4,16 +4,11 @@ One extra vertex (written 0) is appended to every simple component; global
 vertex order is component-major with the local order 1, ..., rank, 0.  The
 finite abelian group of coweight classes modulo coroots acts on each
 component by diagram automorphisms permuting the mark-1 vertices simply
-transitively.  That action is implemented twice:
-
-* :func:`fundamental_group` builds them from hardcoded per-type
-  permutations;
-* :func:`sigma_geometric` recomputes one generator from first principles,
-  as the affine isometry y -> w_j w_0 y + omega_j of the fundamental
-  alcove, matching images of alcove vertices exactly.
-
-A test asserts the two agree everywhere; disagreement would mean a typo in
-the tables or a convention bug in the geometry.
+transitively.  :func:`fundamental_group` builds that action from hardcoded
+per-type permutations and checks that each one preserves the marks and the
+extended Cartan matrix.  The tests recompute every generator from first
+principles, as the affine isometry y -> w_j w_0 y + omega_j of the
+fundamental alcove, and compare it with the tables.
 """
 
 from __future__ import annotations
@@ -21,20 +16,16 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .exactalg import block_diag, grow, mat_mul, mat_vec, vec_add
+from .exactalg import block_diag, grow
 from .rootdata import (
-    CartanData,
     InternalCheckError,
     LabelingError,
     SimpleType,
     SpecError,
     cartan_data,
-    fundamental_coweight,
-    longest_element,
     norms,
 )
 
@@ -218,8 +209,9 @@ class FundamentalGroup:
     def label_actions(self) -> tuple:
         """Per element, an ``itemgetter`` over the inverse of its sigma.
 
-        Applied to a label tuple it returns :func:`permuted_labels` of the
-        element's sigma on it; built on first use.
+        Applied to a label tuple it pushes the labels forward along the
+        element's sigma, the label at ``i`` moving to ``sigma[i]``; built on
+        first use.
         """
         actions = []
         for e in self.elements:
@@ -331,51 +323,6 @@ def fundamental_group(diagram: ExtendedDiagram) -> FundamentalGroup:
         ):
             raise InternalCheckError("tabulated action is not a diagram automorphism")
     return FundamentalGroup(diagram=diagram, elements=tuple(elements))
-
-
-def sigma_geometric(data: CartanData, j: int) -> tuple:
-    """Recompute the permutation for the coset of the j-th coweight.
-
-    Works entirely in coroot coordinates: alcove vertices are the scaled
-    fundamental coweights plus the origin; the affine map is
-    y -> (w_j w_0)(y) + omega_j.  Every image must land exactly on an
-    alcove vertex, otherwise a convention bug is flagged.
-    Returns the local permutation in slot order (1..rank, 0).
-    """
-    rank = data.rank
-    if data.marks[j - 1] != 1:
-        raise ValueError(f"vertex {j} of {data.type} does not have mark 1")
-    w0 = longest_element(data).matrix
-    wj = longest_element(data, excluded=j).matrix
-    m = mat_mul(wj, w0)
-    omega_j = fundamental_coweight(data, j)
-
-    vertices = {}
-    for i in range(1, rank + 1):
-        cw = fundamental_coweight(data, i)
-        v = tuple(Fraction(x, data.marks[i - 1]) for x in cw)
-        vertices[v] = i - 1
-    vertices[tuple(Fraction(0) for _ in range(rank))] = rank  # origin <-> slot of 0
-
-    perm = [None] * (rank + 1)
-    for v, src in vertices.items():
-        img = vec_add(mat_vec(m, v), omega_j)
-        img = tuple(Fraction(x) for x in img)
-        if img not in vertices:
-            raise InternalCheckError(
-                f"{data.type}, vertex {j}: alcove vertex image {img} "
-                "is not an alcove vertex"
-            )
-        perm[src] = vertices[img]
-    return tuple(perm)
-
-
-def permuted_labels(sigma: tuple, labels) -> tuple:
-    """Push labels forward along a vertex permutation: out[sigma(i)] = in[i]."""
-    out = [0] * len(labels)
-    for i, lab in enumerate(labels):
-        out[sigma[i]] = lab
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,25 +21,10 @@ Vec = tuple
 Mat = tuple
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
     """``m @ v``, summed over the nonzero entries of ``v`` only."""
     terms = [(j, x) for j, x in enumerate(v) if x]
     return tuple(sum(row[j] * x for j, x in terms) for row in m)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def block_diag(blocks: Sequence[Sequence[Sequence]]) -> Mat:

@@ -20,23 +20,11 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .diagram import (
-    ExtendedDiagram,
-    FundamentalGroup,
-    FundamentalGroupElement,
-    permuted_labels,
-)
-from .lattice import (
-    CentralElement,
-    GroupSpec,
-    _frac_mod1,
-    _weight_generators,
-    central_key,
-)
+from .diagram import ExtendedDiagram, FundamentalGroup
+from .lattice import CentralElement, GroupSpec, _weight_generators, central_key
 from .rootdata import BudgetError, InternalCheckError, LabelingError
 
 
@@ -111,8 +99,9 @@ def _env_int(name: str, default: int) -> int:
     raise BudgetError(f"{name} must be an integer, got {text!r}")
 
 
+@cache
 def count_Kn(diagram: ExtendedDiagram, n: int) -> int:
-    """|K_n| without enumerating it.
+    """|K_n| without enumerating it, counted once per diagram and n.
 
     Per component the coefficient of ``t^n`` in the product of
     ``1 / (1 - t^mark)`` over its vertices, multiplied over the components.
@@ -128,17 +117,28 @@ def count_Kn(diagram: ExtendedDiagram, n: int) -> int:
     return total
 
 
-def _check_budget(diagram: ExtendedDiagram, n: int) -> None:
-    """Refuse a K_n larger than the budget, before anything is enumerated.
+@cache
+def _kn_floor(diagram: ExtendedDiagram, n: int) -> int:
+    """The labelings of K_n with at most one nonzero root label per component.
 
-    The labelings with one nonzero root label number ``sum floor(n / mark)``
-    per component, so when their product already exceeds the budget, K_n
-    is refused without running :func:`count_Kn`, whose work grows with n.
+    They number ``1 + sum floor(n / mark)`` per component, a lower bound on
+    |K_n| whose work does not grow with n.
     """
-    budget = _env_int(_BUDGET_VARIABLE, MAX_LABELINGS)
     floor = 1
     for k in range(len(diagram.components)):
         floor *= 1 + sum(n // diagram.marks[s] for s in diagram.component_slots(k)[:-1])
+    return floor
+
+
+def _check_budget(diagram: ExtendedDiagram, n: int) -> None:
+    """Refuse a K_n larger than the budget, before anything is enumerated.
+
+    When :func:`_kn_floor` already exceeds the budget, K_n is refused
+    without running :func:`count_Kn`, whose work grows with n.  Both sizes
+    are kept per diagram and n; the budget is read on every call.
+    """
+    budget = _env_int(_BUDGET_VARIABLE, MAX_LABELINGS)
+    floor = _kn_floor(diagram, n)
     if floor > budget:
         size = f"at least {floor}"
     else:
@@ -224,17 +224,6 @@ def enumerate_Kn(diagram: ExtendedDiagram, n: int, congruence=None) -> list:
             gc.enable()
 
 
-def labeling_weight(diagram: ExtendedDiagram, generator, labeling: KacLabeling) -> Fraction:
-    """Sum of generator coefficients against the labels at the root vertices.
-
-    The exact reference for the integer columns of :func:`_slot_columns`.
-    """
-    total = Fraction(0)
-    for coeff, slot in zip(generator, diagram.pi_slots):
-        total += coeff * labeling.labels[slot]
-    return _frac_mod1(total)
-
-
 def _on_slots(diagram: ExtendedDiagram, m: int, rows) -> tuple:
     """``(m, columns)``: per slot of the diagram, its coefficient in each of
     the integer ``rows`` over the simple roots, zero at the extra vertices."""
@@ -284,11 +273,6 @@ def filter_matching_q(labelings, spec: GroupSpec, q: KacLabeling, diagram: Exten
     diagram.check_labeling(q.labels, q.n)
     key = residue_key(spec, q.labels)
     return [p for p in labelings if residue_key(spec, p.labels) == key]
-
-
-def act_on_labeling(g: FundamentalGroupElement, p: KacLabeling) -> KacLabeling:
-    """Left action by diagram automorphism: new label at i is old at sigma^-1(i)."""
-    return KacLabeling(labels=permuted_labels(g.sigma, p.labels), n=p.n)
 
 
 def orbit_decompose(labelings, group: FundamentalGroup) -> list:

@@ -231,26 +231,6 @@ def xq_elements(spec: GroupSpec) -> tuple:
     return tuple(_fractions(sorted(spec.closure), spec.den))
 
 
-def pairing(lambda_coeffs, j_slot_vertex, diagram: ExtendedDiagram, component: int = 0) -> Fraction:
-    """Pairing of a weight class with the coweight class of a mark-1 vertex.
-
-    The weight is given by root coefficients over the whole diagram; the
-    coweight class by (component, vertex).  Equals the vertex coefficient
-    mod Z, by duality of the two bases.
-    """
-    typ = diagram.components[component]
-    data = cartan_data(typ)
-    if j_slot_vertex == 0:
-        return Fraction(0)
-    if data.marks[j_slot_vertex - 1] != 1:
-        raise SpecError(
-            f"vertex {j_slot_vertex} of {typ} has mark "
-            f"{data.marks[j_slot_vertex - 1]}, not 1"
-        )
-    offset = sum(t.rank for t in diagram.components[:component])
-    return _frac_mod1(lambda_coeffs[offset + j_slot_vertex - 1])
-
-
 def _coweight_keys(spec: GroupSpec) -> dict:
     """Each coweight class modulo the coroots, named by its tags (per
     component 0 or a mark-1 vertex), mapped to its key: the sum of each

@@ -145,12 +145,13 @@ class CoweightLattice:
     """The cocharacter lattice of X inside the coweight lattice.
 
     Carries a triangular basis in coroot coordinates (columns, positive
-    diagonal) supporting exact membership tests and a canonical reduction
-    into the half-open fundamental box.  The basis is held in integers:
+    diagonal) supporting a canonical reduction into the half-open
+    fundamental box and the solving of a point for its basis coefficients
+    (:meth:`root_index`).  The basis is held in integers:
     ``hnf`` is ``scale`` times the basis, where ``scale`` is the lcm of the
     denominators of the inverse Cartan matrix, so every coweight has
     integer coordinates once multiplied by ``scale``.  Points are reduced in
-    that scaling, times a factor where their denominators need one, against
+    that scaling, times ``n`` for the n-th roots, against
     ``triangular``, the :func:`kacoh.exactalg.triangular_form` of ``hnf``.
     ``cartan``, ``scale`` and ``scaled_inverse`` depend on the components
     alone and are the objects of :func:`_root_data`, shared by every lattice
@@ -213,17 +214,6 @@ class CoweightLattice:
     def coroot_coefficients(self) -> tuple:
         return self._reflection_rows[1]
 
-    def canonical_point(self, coords) -> TorusPoint:
-        """The reduced point of rational simple-coroot coordinates."""
-        denominator = lcm(self.scale, *(x.denominator for x in coords))
-        scaled = [x.numerator * (denominator // x.denominator) for x in coords]
-        return TorusPoint(
-            reduce_mod_basis(scaled, self.triangular, denominator // self.scale), denominator
-        )
-
-    def contains(self, coords) -> bool:
-        return self.canonical_point(coords).is_identity
-
     def _alcove_vector(self, p: KacLabeling) -> list:
         """``n * scale`` times the alcove point of ``p``, unreduced.
 
@@ -279,15 +269,6 @@ class CoweightLattice:
             texts = self._texts[d] = [f"{x // g}/{d // g}" for x in range(d) for g in [gcd(x, d)]]
         return list(map(texts.__getitem__, point.numerators))
 
-    def index_over_coroots(self) -> int:
-        covolume = 1
-        for i, col in enumerate(self.hnf):
-            covolume *= col[i]
-        index, rem = divmod(self.scale ** self.rank, covolume)
-        if rem:
-            raise InternalCheckError("non-integral lattice index")
-        return index
-
     def central_coweight(self, z: CentralElement) -> tuple:
         """Integer coweight coordinates of a coweight realizing ``z``.
 
@@ -317,17 +298,22 @@ class CoweightLattice:
         vanish.  ``classes`` names each class by the root indices of its
         tags (:func:`_root_data`): its coweight is the sum of the scaled
         fundamental ``coweights`` there, and its pairings are the sums of
-        the generator rows there.  The classes are tried in tag order until
-        the basis spans as many classes as vanish, and a class is kept only
-        when it enlarges the basis, so a cyclic X^vee / Q^vee costs one
-        column (:func:`kacoh.exactalg.hermite_mod`).
+        the generator rows there.  The classes are tried by number of tags,
+        then in tag order, until the basis spans as many classes as vanish,
+        and a class is kept only when it enlarges the basis, so a cyclic
+        X^vee / Q^vee costs one column (:func:`kacoh.exactalg.hermite_mod`)
+        and a product whose single-tag classes vanish costs one per
+        component.
         """
         modulus, rows, scale, rank = self.spec.den, self.spec.rows, self.scale, self.rank
-        vanishing = [
-            slots
-            for slots in classes
-            if not any(sum(row[s] for s in slots) % modulus for row in rows)
-        ]
+        vanishing = sorted(
+            (
+                slots
+                for slots in classes
+                if not any(sum(row[s] for s in slots) % modulus for row in rows)
+            ),
+            key=len,
+        )
         hnf = hermite_mod([], scale, rank)
         columns, spanned = [], 1
         for slots in vanishing[1:]:  # the first is the identity's

@@ -21,9 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-
-from .exactalg import identity, mat_mul, mat_vec
+from functools import lru_cache
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -95,12 +93,6 @@ class CartanData:
     @property
     def rank(self) -> int:
         return self.type.rank
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    word: tuple      # simple-reflection indices, 1-based, leftmost applied last
-    matrix: tuple    # action on coroot coordinates
 
 
 def _edges(family: str, rank: int) -> list[tuple[int, int]]:
@@ -219,89 +211,6 @@ def cartan_data(typ: SimpleType) -> CartanData:
         det=det,
         adjugate=adj,
     )
-
-
-def reflection_matrix(data: CartanData, i: int) -> tuple:
-    """Matrix of the simple reflection s_i on coroot coordinates."""
-    if not 1 <= i <= data.rank:
-        raise ValueError(f"vertex {i} out of range for {data.type}")
-    row = data.cartan[i - 1]
-    return tuple(
-        tuple(int(k == j) - int(k == i - 1) * row[j] for j in range(data.rank))
-        for k in range(data.rank)
-    )
-
-
-def fundamental_coweight(data: CartanData, j: int) -> tuple:
-    """The j-th fundamental coweight in simple-coroot coordinates."""
-    if not 1 <= j <= data.rank:
-        raise ValueError(f"vertex {j} out of range for {data.type}")
-    return tuple(Fraction(row[j - 1], data.det) for row in data.adjugate)
-
-
-def longest_element(data: CartanData, excluded: int | None = None) -> WeylElement:
-    """Longest element of the Weyl group, or of the parabolic omitting a vertex.
-
-    Greedy descent: start from a vector strictly dominant for the allowed
-    simple roots, keep applying the first reflection with positive pairing
-    until the vector is anti-dominant.  The accumulated reflections form a
-    reduced word for the longest element.
-    """
-    allowed = [i for i in range(1, data.rank + 1) if i != excluded]
-    y = [Fraction(0)] * data.rank
-    for j in allowed:
-        cw = fundamental_coweight(data, j)
-        y = [a + b for a, b in zip(y, cw)]
-    applied = []
-    while True:
-        pair = mat_vec(data.cartan, y)
-        i = next((i for i in allowed if pair[i - 1] > 0), None)
-        if i is None:
-            break
-        c = pair[i - 1]
-        y[i - 1] -= c  # s_i(y) = y - <alpha_i, y> alpha_i^vee
-        applied.append(i)
-    word = tuple(reversed(applied))
-    mats = [reflection_matrix(data, i) for i in word]
-    matrix = reduce(mat_mul, mats, identity(data.rank))
-    return WeylElement(word=word, matrix=tuple(tuple(row) for row in matrix))
-
-
-def reflect_root(data: CartanData, i: int, root: tuple) -> tuple:
-    """Simple reflection s_i applied to a root in simple-root coordinates."""
-    coeff = sum(data.cartan[j][i - 1] * root[j] for j in range(data.rank))
-    return tuple(
-        root[j] - coeff * int(j == i - 1) for j in range(data.rank)
-    )
-
-
-@lru_cache(maxsize=None)
-def all_roots(typ: SimpleType) -> tuple:
-    """Every root in simple-root coordinates, by closure under reflections."""
-    data = cartan_data(typ)
-    simple = [
-        tuple(int(k == j) for k in range(data.rank)) for j in range(data.rank)
-    ]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in range(1, data.rank + 1):
-                image = reflect_root(data, i, root)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
-def positive_roots(typ: SimpleType) -> tuple:
-    return tuple(r for r in all_roots(typ) if sum(r) > 0)
-
-
-def highest_root(typ: SimpleType) -> tuple:
-    return max(positive_roots(typ), key=sum)
 
 
 def norms(data: CartanData) -> tuple:

@@ -11,10 +11,9 @@ import sys
 import time
 
 from kacoh.cohomology import h1_adjoint, h1_inner_form
-from kacoh.diagram import _component_sigmas, sigma_geometric
+from kacoh.diagram import _component_sigmas
 from kacoh.labelings import (
     KacLabeling,
-    act_on_labeling,
     compact_labeling,
     enumerate_Kn,
     filter_for_central,
@@ -35,6 +34,7 @@ from kacoh.oracle import cross_check
 from kacoh.rootdata import SimpleType, cartan_data
 
 from conftest import simple_types
+from references import act_on_labeling, sigma_geometric
 
 
 def _report(name: str, started: float, detail: str = ""):

@@ -9,7 +9,6 @@ from kacoh import cohomology
 from kacoh.cohomology import h1_inner_form, nth_root_classes, roots_document
 from kacoh.diagram import fundamental_group
 from kacoh.labelings import (
-    act_on_labeling,
     compact_labeling,
     enumerate_Kn,
     filter_for_central,
@@ -28,6 +27,7 @@ from kacoh.oracle import cross_check
 from kacoh.rootdata import BudgetError, InternalCheckError, SimpleType
 
 from conftest import simple_types
+from references import act_on_labeling
 
 
 def _sweep_specs():
@@ -170,6 +170,20 @@ def test_one_enumeration_per_root_system(monkeypatch):
         enumerate_Kn(specs[0].diagram(), 2)
     with pytest.raises(BudgetError, match="27 labelings"):
         nth_root_classes(_cold(simply_connected), enumerate_center(simply_connected)[0], 2)
+
+
+def test_roots_over_the_budget_build_no_lattice(monkeypatch):
+    """A roots query whose K_n is over the budget is refused before its
+    coweight lattice is built: ad:A1^14 has at least 3**14 2-labelings."""
+    from kacoh import oracle
+
+    def no_lattice(spec):
+        raise AssertionError("coweight lattice built before the K_n budget check")
+
+    monkeypatch.setattr(oracle, "CoweightLattice", no_lattice)
+    spec = preset_spec("ad:" + "x".join(["A1"] * 14))
+    with pytest.raises(BudgetError, match="at least 4782969 labelings"):
+        nth_root_classes(spec, enumerate_center(spec)[0], 2)
 
 
 def test_one_pass_over_Kn_per_table(monkeypatch):

@@ -15,7 +15,6 @@ from kacoh.cohomology import (
 )
 from kacoh.labelings import (
     KacLabeling,
-    act_on_labeling,
     compact_labeling,
     enumerate_Kn,
     format_labeling,
@@ -31,6 +30,7 @@ from kacoh.lattice import (
 )
 from kacoh.oracle import build_coweight_lattice
 from kacoh.rootdata import LabelingError, SimpleType
+from references import act_on_labeling, canonical_point, contains, fundamental_coweight
 
 
 def E7(text):
@@ -52,25 +52,25 @@ def test_phi_a1_split_point():
     lattice = build_coweight_lattice(spec)
     # Its square is central but nontrivial: twice the point is not in the
     # lattice, four times is.
-    assert not lattice.contains((F(1, 2),))
-    assert lattice.contains((F(1),))
+    assert not contains(lattice, (F(1, 2),))
+    assert contains(lattice, (F(1),))
 
 
 def test_phi_e7_single_label():
     spec = preset_spec("sc:E7")
-    from kacoh.rootdata import cartan_data, fundamental_coweight
+    from kacoh.rootdata import cartan_data
 
     q6 = E7("000/01/000")
     expected = tuple(
         x / 2 for x in fundamental_coweight(cartan_data(SimpleType("E", 7)), 7)
     )
     lattice = build_coweight_lattice(spec)
-    assert phi(q6, spec) == lattice.canonical_point(expected)
+    assert phi(q6, spec) == canonical_point(lattice, expected)
 
 
 def test_phi_matches_fraction_alcove_point():
     # The integer witness against the alcove point summed in Fractions.
-    from kacoh.rootdata import cartan_data, fundamental_coweight
+    from kacoh.rootdata import cartan_data
 
     cases = (("halfspin:D6", 2), ("sc:E7", 2), ("sc:A3xA1", 3), ("sc:G2", 3), ("sc:F4", 3))
     for preset, n in cases:
@@ -92,7 +92,7 @@ def test_phi_matches_fraction_alcove_point():
                 sum((l * cw[i] for l, cw in zip(labels, coweights)), F(0)) / n
                 for i in range(spec.total_rank)
             )
-            assert phi(p, spec).coords == lattice.canonical_point(point).coords, (preset, p)
+            assert phi(p, spec).coords == canonical_point(lattice, point).coords, (preset, p)
 
 
 def test_z_from_q_e7():
@@ -254,7 +254,7 @@ def test_roots_points_are_nth_roots(types_rank6):
                 result = nth_root_classes(spec, z, n)
                 for point in result.torus_points:
                     scaled = tuple(n * x - zc for x, zc in zip(point.coords, zeta))
-                    assert lattice.contains(scaled)
+                    assert contains(lattice, scaled)
 
 
 def test_roots_match_h1_partition(types_rank6):

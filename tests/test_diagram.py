@@ -8,10 +8,10 @@ from kacoh.diagram import (
     _component_sigmas,
     fundamental_group,
     render_diagram,
-    sigma_geometric,
 )
 from kacoh.lattice import dual_subgroup, preset_spec
 from kacoh.rootdata import InternalCheckError, SimpleType, SpecError, cartan_data
+from references import sigma_geometric
 
 
 def T(s):

@@ -14,13 +14,13 @@ from kacoh.diagram import (
     ExtendedDiagram,
     _extended_cartan,
     fundamental_group,
-    permuted_labels,
 )
 from kacoh.labelings import KacLabeling, enumerate_Kn, format_labeling
 from kacoh.lattice import all_intermediate_specs, format_rational, preset_spec
 from kacoh.rootdata import InternalCheckError, SimpleType, cartan_data, norms
 
 from conftest import simple_types
+from references import permuted_labels
 
 
 def _reference_extended_cartan(typ):

@@ -14,7 +14,7 @@ import pytest
 
 from kacoh import lattice
 from kacoh.diagram import ExtendedDiagram, fundamental_group
-from kacoh.exactalg import block_diag, mat_mul, mat_vec, mod_adder, staircase
+from kacoh.exactalg import block_diag, mat_vec, mod_adder, staircase
 from kacoh.lattice import (
     CentralElement,
     all_intermediate_specs,
@@ -22,15 +22,15 @@ from kacoh.lattice import (
     check_central,
     dual_subgroup,
     enumerate_center,
-    pairing,
     preset_spec,
     validate_spec,
     xq_elements,
     xq_order,
 )
-from kacoh.rootdata import SimpleType, SpecError, cartan_data, fundamental_coweight
+from kacoh.rootdata import SimpleType, SpecError, cartan_data
 
 from conftest import iso_tag, simple_types
+from references import fundamental_coweight, mat_mul, pairing
 
 
 def ref_invert(m):

@@ -10,14 +10,12 @@ from kacoh.labelings import (
     KacLabeling,
     _component_solutions,
     _slot_columns,
-    act_on_labeling,
     compact_labeling,
     count_Kn,
     enumerate_Kn,
     filter_for_central,
     filter_matching_q,
     format_labeling,
-    labeling_weight,
     orbit_decompose,
     parse_labeling,
     residue_key,
@@ -31,6 +29,7 @@ from kacoh.lattice import (
     validate_spec,
 )
 from kacoh.rootdata import BudgetError, InternalCheckError, LabelingError, SimpleType
+from references import act_on_labeling, labeling_weight
 
 
 def D(*names):
@@ -429,6 +428,33 @@ def test_enumeration_refuses_a_Kn_above_the_budget(monkeypatch):
     # before anything of size n is built.
     with pytest.raises(BudgetError, match="at least 10000000000000000000001 labelings"):
         enumerate_Kn(D("A1"), 10 ** 22)
+
+
+def test_budget_sizes_a_Kn_once_per_diagram_and_n(monkeypatch):
+    # The sizes of K_n are kept per diagram and n, and the budget is read
+    # on every call.  A diagram of another class is its own cache key.
+    from kacoh import labelings
+
+    class Counting(ExtendedDiagram):
+        slot_reads = 0
+
+        def component_slots(self, k):
+            Counting.slot_reads += 1
+            return super().component_slots(k)
+
+    d = Counting([SimpleType.parse("E7")])
+    size = count_Kn(D("E7"), 3)
+    labelings._check_budget(d, 3)
+    cold = Counting.slot_reads
+    assert cold > 0
+    for _ in range(3):
+        labelings._check_budget(d, 3)
+    monkeypatch.setenv("KACOH_MAX_LABELINGS", str(size))
+    labelings._check_budget(d, 3)
+    monkeypatch.setenv("KACOH_MAX_LABELINGS", str(size - 1))
+    with pytest.raises(BudgetError, match=f"K_3: {size} labelings"):
+        labelings._check_budget(d, 3)
+    assert Counting.slot_reads == cold
 
 
 def _collections_during(build, enabled):

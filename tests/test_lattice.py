@@ -10,7 +10,6 @@ from kacoh.lattice import (
     dual_subgroup,
     enumerate_center,
     preset_spec,
-    pairing,
     spec_from_document,
     spec_to_document,
     validate_spec,
@@ -19,6 +18,7 @@ from kacoh.lattice import (
 )
 from kacoh.oracle import cross_check
 from kacoh.rootdata import SimpleType, SpecError
+from references import pairing
 
 
 E7_LAMBDA = (F(1, 2), 0, F(1, 2), 0, 0, 0, F(1, 2))

@@ -7,6 +7,15 @@ import pytest
 
 from conftest import rank5_products, simple_types, sweep_lattices
 from dense_lattice import dense_coweight_hnf
+from references import (
+    act_on_labeling,
+    canonical_point,
+    contains,
+    fundamental_coweight,
+    identity,
+    index_over_coroots,
+    reflection_matrix,
+)
 from kacoh import oracle
 from kacoh.cohomology import h1_inner_form, real_form_table, z_from_q
 from kacoh.lattice import (
@@ -31,21 +40,21 @@ def test_lattice_bases_a1():
     # The basis is hnf / scale: the coroot lattice for sc, half of it for ad.
     sc = build_coweight_lattice(preset_spec("sc:A1"))
     assert (sc.hnf, sc.scale) == (((2,),), 2)
-    assert sc.index_over_coroots() == 1
+    assert index_over_coroots(sc) == 1
     ad = build_coweight_lattice(preset_spec("ad:A1"))
     assert (ad.hnf, ad.scale) == (((1,),), 2)
-    assert ad.index_over_coroots() == 2
+    assert index_over_coroots(ad) == 2
 
 
 def test_lattice_halfspin_membership():
     lattice = build_coweight_lattice(preset_spec("halfspin:D6"))
-    assert lattice.index_over_coroots() == 2
-    from kacoh.rootdata import cartan_data, fundamental_coweight
+    assert index_over_coroots(lattice) == 2
+    from kacoh.rootdata import cartan_data
 
     data = cartan_data(SimpleType("D", 6))
-    assert lattice.contains(fundamental_coweight(data, 5))
-    assert not lattice.contains(fundamental_coweight(data, 1))
-    assert not lattice.contains(fundamental_coweight(data, 6))
+    assert contains(lattice, fundamental_coweight(data, 5))
+    assert not contains(lattice, fundamental_coweight(data, 1))
+    assert not contains(lattice, fundamental_coweight(data, 6))
 
 
 def test_lattice_sandwich_and_index(types_rank6):
@@ -55,7 +64,7 @@ def test_lattice_sandwich_and_index(types_rank6):
     for typ in types_rank6:
         for spec in all_intermediate_specs((typ,)):
             lattice = build_coweight_lattice(spec)
-            assert lattice.index_over_coroots() == dual_subgroup(spec).order, spec
+            assert index_over_coroots(lattice) == dual_subgroup(spec).order, spec
 
 
 def test_canonicalize_idempotent_and_consistent():
@@ -65,10 +74,10 @@ def test_canonicalize_idempotent_and_consistent():
         (F(11, 2), F(0), F(1), F(2), F(-3, 2), F(5, 4)),
     ]
     for v in vecs:
-        c = lattice.canonical_point(v).coords
-        assert lattice.canonical_point(c).coords == c
+        c = canonical_point(lattice, v).coords
+        assert canonical_point(lattice, c).coords == c
         diff = tuple(a - b for a, b in zip(v, c))
-        assert lattice.contains(diff)
+        assert contains(lattice, diff)
 
 
 def test_roots_counts_and_values():
@@ -621,8 +630,8 @@ def test_product_sweep_a1_5():
 
 def _dense_reflections(spec):
     """Every simple reflection of the spec as a full matrix on coroot coordinates."""
-    from kacoh.exactalg import block_diag, identity
-    from kacoh.rootdata import cartan_data, reflection_matrix
+    from kacoh.exactalg import block_diag
+    from kacoh.rootdata import cartan_data
 
     mats = []
     for k, typ in enumerate(spec.components):
@@ -648,7 +657,7 @@ def _dense_partition(points, mats, lattice):
         while frontier:
             coords = points[frontier.pop()].coords
             for mat in mats:
-                j = index[lattice.canonical_point(mat_vec(mat, coords)).coords]
+                j = index[canonical_point(lattice, mat_vec(mat, coords)).coords]
                 if j not in orbit_of:
                     orbit_of[j] = len(orbits)
                     orbit.append(j)
@@ -784,7 +793,7 @@ def test_central_coweight_matches_fraction_search(types_rank6):
 def test_phi_is_equivariant():
     # Labelings in one orbit of the dual classes map into one Weyl orbit.
     from kacoh.cohomology import phi
-    from kacoh.labelings import act_on_labeling, enumerate_Kn, filter_for_central
+    from kacoh.labelings import enumerate_Kn, filter_for_central
     from kacoh.lattice import dual_subgroup
 
     for preset in ("halfspin:D6", "so:D5", "sc:A3"):
@@ -843,12 +852,33 @@ def test_coroot_basis_matches_dense_hermite_form():
         assert lattice._box == tuple(col[i] for i, col in enumerate(coweight_basis)), spec
 
 
+def test_coroot_basis_of_a_product_takes_one_column_per_factor(monkeypatch):
+    # X^vee of ad:A1^k is spanned by its k single-tag coweight classes,
+    # which are tried first: at most k + 1 Hermite forms, where trying all
+    # 2**k classes in tag order takes 2**(k - 1) + 1.
+    real = oracle.hermite_mod
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "hermite_mod", counting)
+    for k in (1, 4, 8, 12):
+        spec = preset_spec("ad:" + "x".join(["A1"] * k))
+        calls = 0
+        lattice = oracle.CoweightLattice(spec)
+        assert calls <= k + 1, (k, calls)
+        assert index_over_coroots(lattice) == 2 ** k
+
+
 def test_coroot_basis_at_high_rank_skips_redundant_classes():
     # ad:A400 needs one coweight class (X^vee / Q^vee is cyclic of order 401),
     # sc:A400 none; both hnf are read off without any dense elimination.
     ad = build_coweight_lattice(preset_spec("ad:A400"))
-    assert ad.hnf[0] == tuple(range(1, 402))[:400] and ad.index_over_coroots() == 401
+    assert ad.hnf[0] == tuple(range(1, 402))[:400] and index_over_coroots(ad) == 401
     assert all(col == (0,) * i + (401,) + (0,) * (399 - i) for i, col in enumerate(ad.hnf[1:], 1))
     assert ad._box == (1,) * 400
     sc = build_coweight_lattice(validate_spec(["A400"], [tuple(F(400 - i, 401) for i in range(400))]))
-    assert sc.index_over_coroots() == 1 and sc._box == (1,) * 399 + (401,)
+    assert index_over_coroots(sc) == 1 and sc._box == (1,) * 399 + (401,)

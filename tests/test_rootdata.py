@@ -4,15 +4,15 @@ import pytest
 
 from conftest import iso_tag
 from kacoh.diagram import ExtendedDiagram, fundamental_group
-from kacoh.exactalg import identity, mat_mul, mat_vec
-from kacoh.rootdata import (
-    SimpleType,
-    SpecError,
+from kacoh.exactalg import mat_vec
+from kacoh.rootdata import SimpleType, SpecError, cartan_data
+from references import (
     all_roots,
-    cartan_data,
     fundamental_coweight,
     highest_root,
+    identity,
     longest_element,
+    mat_mul,
     positive_roots,
     reflect_root,
     reflection_matrix,
